@@ -15,9 +15,13 @@
 //
 // All per-loss results are pure simulated time: the bench re-runs the
 // lossiest configuration and fails if any simulated field differs (the
-// transport's loss draws come from one seeded Rng in event order, so a
-// given config must replay bit-identically). Only the wall-clock events/s
-// line (the CI floor) varies run to run.
+// transport's loss draws come from per-flow seeded streams, so a given
+// config must replay bit-identically). Only the wall-clock events/s line
+// (the CI floor) varies run to run.
+//
+// The SR-beats-GBN check compares medians over a fixed set of transport
+// seeds at the highest loss rate: it is a claim about the recovery
+// mechanism, and one loss pattern can land either way.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -31,6 +35,20 @@
 #include "workload/experiments.h"
 
 using namespace redn;
+
+namespace {
+
+// Transport seeds of the SR-vs-GBN check: cfg default + k * 7919, k < 10.
+constexpr int kModeSeeds = 10;
+constexpr std::uint64_t kModeSeedStride = 7919;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   int gets = 150;
@@ -58,8 +76,9 @@ int main(int argc, char** argv) {
               "transport (mtu 4096)\n", clients, value_len, gets);
 
   const double losses[] = {0.0, 0.002, 0.01, 0.05};
-  auto run = [&](double loss, bool selective_repeat) {
+  auto run = [&](double loss, bool selective_repeat, int seed_k = 0) {
     workload::FabricScaleConfig cfg;
+    cfg.transport_seed += kModeSeedStride * static_cast<std::uint64_t>(seed_k);
     cfg.clients = clients;
     cfg.gets_per_client = gets;
     cfg.value_len = value_len;
@@ -133,6 +152,21 @@ int main(int argc, char** argv) {
               100.0 * (sr_lossiest.goodput_gbps / lossiest.goodput_gbps - 1.0),
               static_cast<unsigned long long>(sr_lossiest.retransmits),
               static_cast<unsigned long long>(lossiest.retransmits));
+
+  // Both modes at the highest loss rate over the fixed seed set (k = 0 is
+  // the sweep's own row). Outside the events/s window: it is a check, not
+  // part of the measured workload.
+  std::vector<double> gbn_goodputs{lossiest.goodput_gbps};
+  std::vector<double> sr_goodputs{sr_lossiest.goodput_gbps};
+  for (int k = 1; k < kModeSeeds; ++k) {
+    gbn_goodputs.push_back(run(losses[3], false, k).goodput_gbps);
+    sr_goodputs.push_back(run(losses[3], true, k).goodput_gbps);
+  }
+  const double gbn_median = Median(gbn_goodputs);
+  const double sr_median = Median(sr_goodputs);
+  std::printf("  median over %d transport seeds at %.0f%% loss: sr %.2f vs "
+              "gbn %.2f Gb/s\n", kModeSeeds, 100.0 * losses[3], sr_median,
+              gbn_median);
 
   // --- sharded engine (--shards N): same lossy workload, one event domain
   // vs N, wall-clock A/B. Client NICs round-robin over shards, the server
@@ -229,6 +263,8 @@ int main(int argc, char** argv) {
       .Field("goodput_gbps_lossiest", lossiest.goodput_gbps)
       .Field("sr_goodput_gbps", sr_results[2].goodput_gbps)
       .Field("sr_goodput_gbps_lossiest", sr_lossiest.goodput_gbps)
+      .Field("goodput_gbps_lossiest_median", gbn_median)
+      .Field("sr_goodput_gbps_lossiest_median", sr_median)
       .Field("p99_us_lossiest", lossiest.p99_us)
       .Field("retransmits", lossiest.retransmits)
       .Field("sr_retransmits", sr_lossiest.retransmits)
@@ -302,12 +338,13 @@ int main(int argc, char** argv) {
     ok = false;
   }
   // The acceptance criterion: targeted resends must beat window rewinds
-  // under the identical loss pattern at the highest loss rate.
-  if (sr_lossiest.goodput_gbps <= lossiest.goodput_gbps) {
+  // at the highest loss rate — in the median over the fixed seed set, each
+  // seed giving both modes the same loss configuration.
+  if (sr_median <= gbn_median) {
     std::fprintf(stderr,
                  "FAIL: sr goodput %.3f Gb/s <= gbn %.3f Gb/s at %.0f%% "
-                 "loss\n", sr_lossiest.goodput_gbps, lossiest.goodput_gbps,
-                 100.0 * losses[3]);
+                 "loss (medians over %d transport seeds)\n", sr_median,
+                 gbn_median, 100.0 * losses[3], kModeSeeds);
     ok = false;
   }
   if (!sharded_ok) ok = false;

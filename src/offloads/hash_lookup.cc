@@ -131,8 +131,14 @@ void HashGetOffload::Arm(int n, std::uint64_t resp_addr,
 
 void HashGetOffload::BuildTrigger(std::uint64_t key, std::byte* out) const {
   const std::uint64_t packed = rnic::PackCtrl(Opcode::kNoop, key);
-  std::uint64_t words[4] = {packed, table_.BucketAddr1(key), packed,
-                            table_.BucketAddr2(key)};
+  const std::uint64_t b1 = table_.BucketAddr1(key);
+  const std::uint64_t b2 = table_.BucketAddr2(key);
+  // A key whose two candidate buckets coincide would match on both probes
+  // and be answered twice. Its second probe compares against a word no
+  // bucket key can hold (keys are 48-bit, so the READ-scattered ctrl word
+  // never has opcode bits set): that probe always misses.
+  const std::uint64_t packed2 = b1 == b2 ? ~kv::kKeyMask : packed;
+  std::uint64_t words[4] = {packed, b1, packed2, b2};
   std::memcpy(out, words, TriggerBytes());
 }
 

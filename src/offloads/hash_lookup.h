@@ -62,7 +62,7 @@ class HashGetOffload {
     // Starting request sequence number. Chain r waits for the trigger CQ's
     // hw count to reach first_seq + r, so a replacement offload built after
     // a QP error must seed this with the CQ count already consumed by its
-    // predecessor (HashGetHarness::RearmTransport does).
+    // predecessor (HashGetHarness::RearmTransportServerHalf does).
     std::uint64_t first_seq = 0;
     // Make the CLIENT-side send queues of a HashGetHarness built with this
     // config managed (doorbell-ignoring): trigger SENDs posted to them park
@@ -90,7 +90,9 @@ class HashGetOffload {
   std::uint32_t TriggerBytes() const { return cfg_.buckets * 16u; }
 
   // Fills `out` (TriggerBytes() long) with the trigger for `key`:
-  // per probed bucket: [PackCtrl(NOOP, key), bucket_addr].
+  // per probed bucket: [PackCtrl(NOOP, key), bucket_addr]. When both
+  // candidate buckets are the same bucket, the second probe gets a compare
+  // value that never matches, so the key is answered exactly once.
   void BuildTrigger(std::uint64_t key, std::byte* out) const;
 
   std::uint64_t armed() const { return armed_; }

@@ -805,7 +805,6 @@ void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* qp,
                                    QueuePair* peer, Payload* pl, Opcode op,
                                    sim::Nanos ready) {
   pl->st = WcStatus::kSuccess;
-  pl->flushed = false;
   const std::uint64_t rg = qp->reset_gen;
   sim::Transport::MessageOps ops;
   // Ops that consume a RECV probe the responder's RQ before delivery: an
@@ -828,81 +827,23 @@ void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* qp,
       return true;
     };
   }
-  if (CrossShard(peer)) {
-    // Split-flow callback layout: on_deliver runs on the responder's shard
-    // and may only touch responder-side state plus pl fields the requester
-    // reads strictly later (pl->st — the ACK crossing orders it); every
-    // requester-side outcome (wq.error check + latch, CQE, release) moves
-    // to on_acked/on_failed on the requester's shard. One semantic shift vs
-    // the same-shard path, cross-shard only: delivered bytes land in the
-    // responder's memory even if the requester's WQ flushed mid-flight —
-    // the responder cannot observe that, which is what a real NIC does too.
-    ops.on_deliver =
-        [peer, pl, op](sim::Nanos) {
-          const std::uint64_t len = pl->bytes.size();
-          WcStatus st = WcStatus::kSuccess;
-          if (!peer->alive) {
-            st = WcStatus::kRemoteAccessError;
-          } else if (op == Opcode::kWrite || op == Opcode::kWriteImm) {
-            st = peer->device->AcceptWrite(peer, pl->img.remote_addr,
-                                           pl->img.rkey, pl->bytes.data(),
-                                           len);
-            if (st == WcStatus::kSuccess && op == Opcode::kWriteImm) {
-              st = peer->device->AcceptSend(peer, nullptr, 0, pl->img.imm,
-                                            /*has_imm=*/true, len);
-            }
-          } else {
-            st = peer->device->AcceptSend(peer, pl->bytes.data(), len,
-                                          pl->img.imm,
-                                          /*has_imm=*/op == Opcode::kSendImm,
-                                          len);
-          }
-          pl->st = st;
-        };
-    ops.on_acked =
-        [this, &wq, qp, pl](sim::Nanos) {
-          if (wq.error || !qp->alive) {
-            payloads_.Release(pl);
-            return;
-          }
-          if (pl->st != WcStatus::kSuccess && pl->st != WcStatus::kRnrError) {
-            // Remote failure surfaces at the ACK (the NAK's arrival) on this
-            // shard; later WRs of this QP flush from here on.
-            wq.error = true;
-            ++counters_.error_completions;
-          }
-          CompleteWr(qp, qp->send_cq, pl->img,
-                     sim_.now() + cal_.remote_ack_extra, pl->st,
-                     static_cast<std::uint32_t>(pl->bytes.size()));
-          payloads_.Release(pl);
-        };
-    ops.on_failed =
-        [this, qp, pl, rg](sim::Nanos t, sim::MsgFailure why) {
-          if (!qp->alive || qp->state == QpState::kReset ||
-              qp->reset_gen != rg) {
-            payloads_.Release(pl);
-            return;
-          }
-          FailQpOverTransport(qp, pl->img, t, StatusOf(why));
-          payloads_.Release(pl);
-        };
-    qp->transport->SendMessageEx(qp->flow, ready, pl->bytes.size(),
-                                 std::move(ops));
-    return;
-  }
+  // on_deliver runs on the responder's shard and may only touch
+  // responder-side state plus pl fields the requester reads strictly later
+  // (pl->st — the ACK crossing orders it); every requester-side outcome
+  // (wq.error check + latch, CQE, release) happens in on_acked/on_failed on
+  // the requester's shard. Delivered bytes land in the responder's memory
+  // even if the requester's WQ flushed mid-flight — the responder cannot
+  // observe that, which is what a real NIC does too.
   ops.on_deliver =
-      [this, &wq, qp, peer, pl, op](sim::Nanos) {
-        if (wq.error) {  // QP flushed after an earlier failure: no CQE
-          pl->flushed = true;
-          return;
-        }
+      [peer, pl, op](sim::Nanos) {
         const std::uint64_t len = pl->bytes.size();
         WcStatus st = WcStatus::kSuccess;
         if (!peer->alive) {
           st = WcStatus::kRemoteAccessError;
         } else if (op == Opcode::kWrite || op == Opcode::kWriteImm) {
           st = peer->device->AcceptWrite(peer, pl->img.remote_addr,
-                                         pl->img.rkey, pl->bytes.data(), len);
+                                         pl->img.rkey, pl->bytes.data(),
+                                         len);
           if (st == WcStatus::kSuccess && op == Opcode::kWriteImm) {
             st = peer->device->AcceptSend(peer, nullptr, 0, pl->img.imm,
                                           /*has_imm=*/true, len);
@@ -913,21 +854,19 @@ void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* qp,
                                         /*has_imm=*/op == Opcode::kSendImm,
                                         len);
         }
-        if (!qp->alive) {
-          pl->flushed = true;
-          return;
-        }
-        if (st != WcStatus::kSuccess && st != WcStatus::kRnrError) {
-          wq.error = true;
-          ++counters_.error_completions;
-        }
         pl->st = st;
       };
   ops.on_acked =
-      [this, qp, pl](sim::Nanos) {
-        if (pl->flushed || !qp->alive) {
+      [this, &wq, qp, pl](sim::Nanos) {
+        if (wq.error || !qp->alive) {
           payloads_.Release(pl);
           return;
+        }
+        if (pl->st != WcStatus::kSuccess && pl->st != WcStatus::kRnrError) {
+          // Remote failure surfaces at the ACK (the NAK's arrival) on this
+          // shard; later WRs of this QP flush from here on.
+          wq.error = true;
+          ++counters_.error_completions;
         }
         CompleteWr(qp, qp->send_cq, pl->img,
                    sim_.now() + cal_.remote_ack_extra, pl->st,
@@ -936,11 +875,7 @@ void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* qp,
       };
   ops.on_failed =
       [this, qp, pl, rg](sim::Nanos t, sim::MsgFailure why) {
-        // kReset: ModifyQp is tearing the flow down under us — a reset
-        // discards in-flight work silently instead of erroring the QP it
-        // just cleared. Same-foreign-domain split flows flush at the fence
-        // echo, after the re-arm: the reset_gen mismatch covers them.
-        if (pl->flushed || !qp->alive || qp->state == QpState::kReset ||
+        if (!qp->alive || qp->state == QpState::kReset ||
             qp->reset_gen != rg) {
           payloads_.Release(pl);
           return;
@@ -952,123 +887,8 @@ void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* qp,
                                std::move(ops));
 }
 
-void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* qp,
-                                   QueuePair* peer, Payload* pl,
-                                   sim::Nanos t_issue, sim::Nanos ow) {
-  if (CrossShard(peer)) {
-    ReadOverTransportSplit(wq, qp, peer, pl, t_issue, ow);
-    return;
-  }
-  // Protection and dead-peer NAKs return as constant-latency control
-  // messages (`ow`): they are tiny, generated unconditionally by the
-  // responder, and the requester must never hang on them — so they bypass
-  // the loss injector, while the request and the data-bearing response ride
-  // the lossy packetized flows.
-  const std::uint64_t rg = qp->reset_gen;
-  sim::Transport::MessageOps req;
-  req.on_deliver =
-      [this, &wq, qp, peer, pl, ow, rg](sim::Nanos) {
-        if (!qp->alive) {  // requester died: flush silently
-          payloads_.Release(pl);
-          return;
-        }
-        const std::uint64_t prg = peer->reset_gen;
-        if (!peer->alive) {
-          // Target died before the (possibly retransmitted) request landed:
-          // NAK instead of silently dropping — the requester must not hang
-          // even when the loss injector ate the original transmission.
-          FailWr(wq, pl->img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
-          return;
-        }
-        RnicDevice* rdev = peer->device;
-        const WqeImage& img = pl->img;
-        std::uint64_t len = img.length;
-        if (img.uses_sge_table()) {
-          SgeScratch sges;
-          ResolveSges(img, sges);
-          len = 0;
-          for (const Sge& sge : sges) len += sge.length;
-        }
-        const MemCheck mc =
-            rdev->pd_.CheckRemote(img.remote_addr, len, img.rkey, kRemoteRead,
-                                  &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
-          return;
-        }
-        // Data captured at the remote memory now (request delivery).
-        if (len > 0) dma::ReadAppend(pl->bytes, img.remote_addr, len);
-        const sim::Nanos now = sim_.now();
-        const sim::Nanos pcie_done = rdev->pcie_.Reserve(now, len);
-        const sim::Nanos mem_done = rdev->membw_.Reserve(now, len);
-        const sim::Nanos ready = std::max(
-            {now + ExecCost(Opcode::kRead) + rdev->HostDataDelay(len),
-             pcie_done, mem_done});
-        // The response payload rides the responder's flow back; READs
-        // complete at in-order data delivery (no extra ack leg).
-        sim::Transport::MessageOps resp;
-        resp.on_deliver =
-            [this, &wq, qp, pl](sim::Nanos) {
-              if (!qp->alive) {
-                payloads_.Release(pl);
-                return;
-              }
-              WcStatus st = WcStatus::kSuccess;
-              if (!ScatterList(wq, pl->slot, pl->img, pl->bytes.data(),
-                               pl->bytes.size(), &st)) {
-                FailWr(wq, pl->img, sim_.now(), st);
-                payloads_.Release(pl);
-                return;
-              }
-              CompleteWr(qp, qp->send_cq, pl->img,
-                         sim_.now() + cal_.remote_ack_extra,
-                         WcStatus::kSuccess,
-                         static_cast<std::uint32_t>(pl->bytes.size()));
-              payloads_.Release(pl);
-            };
-        resp.on_failed =
-            [this, qp, peer, pl, rg, prg](sim::Nanos t, sim::MsgFailure why) {
-              // The responder's flow died under the response: the READ must
-              // still resolve on the requester CQ, and both ends of the
-              // connection are now broken — except a responder mid-reset,
-              // whose flow is being re-armed (not dying) and must stay
-              // clear of the error latches the reset just dropped.
-              if (peer->alive && peer->state != QpState::kReset &&
-                  peer->reset_gen == prg) {
-                peer->device->TransitionToError(peer);
-              }
-              if (!qp->alive || qp->state == QpState::kReset ||
-                  qp->reset_gen != rg) {
-                payloads_.Release(pl);
-                return;
-              }
-              FailQpOverTransport(qp, pl->img, t, StatusOf(why));
-              payloads_.Release(pl);
-            };
-        peer->transport->SendMessageEx(peer->flow, ready, len,
-                                       std::move(resp));
-      };
-  req.on_failed =
-      [this, qp, pl, rg](sim::Nanos t, sim::MsgFailure why) {
-        // A lost READ request exhausting its retries surfaces on the
-        // requester CQ instead of waiting forever on the response flow. A
-        // requester mid-reset flushes silently (see SendOverTransport).
-        if (!qp->alive || qp->state == QpState::kReset ||
-            qp->reset_gen != rg) {
-          payloads_.Release(pl);
-          return;
-        }
-        FailQpOverTransport(qp, pl->img, t, StatusOf(why));
-        payloads_.Release(pl);
-      };
-  qp->transport->SendMessageEx(qp->flow, t_issue, kReadRequestBytes,
-                               std::move(req));
-}
-
 namespace {
-// Cross-shard READ bundle. The requester's Payload stays owned by the
+// Transport READ bundle. The requester's Payload stays owned by the
 // request leg (released at its ACK or failure, always on the requester's
 // shard); everything the other legs need rides here instead. `bytes` is
 // written by the responder before the response send and read by the
@@ -1085,16 +905,15 @@ struct ReadCtx {
 };
 }  // namespace
 
-void RnicDevice::ReadOverTransportSplit(WorkQueue& wq, QueuePair* qp,
-                                        QueuePair* peer, Payload* pl,
-                                        sim::Nanos t_issue, sim::Nanos ow) {
+void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* qp,
+                                   QueuePair* peer, Payload* pl,
+                                   sim::Nanos t_issue, sim::Nanos ow) {
   auto ctx = std::make_shared<ReadCtx>();
   ctx->img = pl->img;
   ctx->slot = pl->slot;
   // Resolve the SGE table at issue, on the requester's shard: the table
   // lives in requester memory, and reading it from the responder's shard
-  // (where the same-shard path resolves it, at request arrival) would race
-  // with requester-side chain rewrites.
+  // would race with requester-side chain rewrites.
   ctx->len = ctx->img.length;
   if (ctx->img.uses_sge_table()) {
     SgeScratch sges;
@@ -1115,7 +934,11 @@ void RnicDevice::ReadOverTransportSplit(WorkQueue& wq, QueuePair* qp,
         sim::Simulator& dsim = rdev->sim_;
         const sim::Nanos dnow = dsim.now();
         if (!peer->alive) {
-          // NAK: constant-latency control message (see the same-shard path).
+          // Protection and dead-peer NAKs return as constant-latency control
+          // messages (`ow`): they are tiny, generated unconditionally by the
+          // responder, and the requester must never hang on them — so they
+          // bypass the loss injector, while the request and the
+          // data-bearing response ride the lossy packetized flows.
           dsim.SendTo(req_shard, dnow + ow, [this, &wq, qp, ctx] {
             if (ctx->resolved || !qp->alive) return;
             ctx->resolved = true;
@@ -1860,9 +1683,9 @@ void ConnectOverFabric(QueuePair* a, QueuePair* b) {
 
 void ConnectOverTransport(QueuePair* a, QueuePair* b, sim::Transport& t) {
   // Endpoints on different shards are fine: OpenFlow looks up each
-  // endpoint's EventDomain through the fabric and runs the flow split —
-  // SenderHalf on the source's shard, ReceiverHalf on the destination's,
-  // DATA/ACK as mailbox crossings (docs/NET.md "Split flows").
+  // endpoint's EventDomain through the fabric and places the SenderHalf on
+  // the source's shard and the ReceiverHalf on the destination's, with
+  // DATA/ACK crossing via SendTo (docs/NET.md "Split flows").
   ConnectOverFabric(a, b);
   assert(&t.fabric() == a->device->fabric(a->port) &&
          "transport must be built over the QPs' fabric");

@@ -85,9 +85,8 @@ struct QueuePair {
   // Bumped on every ModifyQp(kReset). Transport on_failed callbacks capture
   // the value at message-send time: a mismatch means a reset (and possibly a
   // re-arm) happened while the message was in flight, so the failure must
-  // flush silently instead of erroring the freshly re-armed QP. Same-shard
-  // flows flush synchronously inside the reset (state == kReset covers
-  // them); split flows flush at the fence echo, after the re-arm.
+  // flush silently instead of erroring the freshly re-armed QP: flows
+  // flush at the reset fence's echo, after the re-arm.
   std::uint64_t reset_gen = 0;
 
   // WQ rate limiter (ibv_modify_qp_rate_limit analogue): minimum gap
@@ -178,10 +177,8 @@ struct Payload {
   std::uint64_t scratch = 0;  // atomics: old value returned to the requester
   bool rmw_done = false;      // atomics: the RMW actually executed remotely
   // Transport path only: the Accept* status carried from message delivery
-  // to the ACK-time completion, and whether that completion was flushed
-  // (QP/WQ died in between — release the payload, deliver no CQE).
+  // to the ACK-time completion.
   WcStatus st = WcStatus::kSuccess;
-  bool flushed = false;
   Payload* next_free = nullptr;
 
   void Recycle() { bytes.clear(); }  // keeps capacity for the next op
@@ -359,22 +356,21 @@ class RnicDevice {
   void ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
                    sim::Nanos t_issue);
   // Packetized-transport variants of the data paths (QP connected with
-  // ConnectOverTransport). WRITE/SEND: the gathered payload goes out as one
-  // transport message from `ready`; the responder Accept runs at in-order
-  // delivery and the requester CQE waits for the go-back-N cumulative ACK.
+  // ConnectOverTransport). Every transport callback runs on the domain of
+  // the half that fires it: on_deliver on the responder's, on_acked/
+  // on_failed on the requester's (the two may be the same domain).
+  // WRITE/SEND: the gathered payload goes out as one transport message from
+  // `ready`; the responder Accept runs at in-order delivery and the
+  // requester CQE waits for the cumulative ACK.
   // READ: a header-only request message; the response payload rides back on
-  // the responder's flow and completes the requester at delivery.
+  // the responder's flow and completes the requester at delivery. Every
+  // requester-side outcome (NAK, scatter, CQE, error latch) hops back via
+  // SendTo, and the response data rides a shared bundle instead of the
+  // requester's Payload (which stays owned by the request leg).
   void SendOverTransport(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
                          Payload* pl, Opcode op, sim::Nanos ready);
   void ReadOverTransport(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
                          Payload* pl, sim::Nanos t_issue, sim::Nanos ow);
-  // Cross-shard READ over a split transport flow: the request's on_deliver
-  // runs on the responder's shard, so every requester-side outcome (NAK,
-  // scatter, CQE, error latch) hops back through a SendTo mailbox message
-  // and the response data rides a shared bundle instead of the requester's
-  // Payload (which stays owned by the request leg on the requester's shard).
-  void ReadOverTransportSplit(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                              Payload* pl, sim::Nanos t_issue, sim::Nanos ow);
   // True when the peer's device schedules on a different event domain
   // (shard). The devices' domains are fixed at construction, so this is a
   // pure pointer compare — safe from any shard's thread.

@@ -50,7 +50,6 @@ Transport::Transport(Simulator& sim, Fabric& fabric, TransportConfig cfg)
     : sim_(sim),
       fabric_(fabric),
       cfg_(cfg),
-      rng_(cfg.seed),
       default_fault_{cfg.loss, cfg.corrupt} {
   assert(cfg_.mtu > 0 && "mtu must be positive");
   assert(cfg_.window > 0 && "window must be positive");
@@ -58,10 +57,8 @@ Transport::Transport(Simulator& sim, Fabric& fabric, TransportConfig cfg)
 
 TransportCounters Transport::counters() const {
   // Walks every half, including ones owned by foreign shards: legal only
-  // outside rounds, or mid-round when no flow is split (then every half
-  // lives on the home domain and the caller IS the home domain).
-  assert((EventDomain::Current() == nullptr ||
-          (!any_split_ && EventDomain::Current() == &sim_)) &&
+  // outside rounds.
+  assert(EventDomain::Current() == nullptr &&
          "aggregate counters read every shard's halves; call between runs");
   TransportCounters total;
   for (const auto& f : flows_) {
@@ -76,7 +73,7 @@ TransportCounters Transport::FlowCounters(int flow) const {
   assert((EventDomain::Current() == nullptr ||
           (EventDomain::Current() == f.sdom &&
            EventDomain::Current() == f.ddom)) &&
-         "a split flow's counters span two shards; snapshot between runs");
+         "a flow's counters span two shards; snapshot between runs");
   TransportCounters total = f.snd.ctr;
   total += f.rcv.ctr;
   return total;
@@ -84,7 +81,7 @@ TransportCounters Transport::FlowCounters(int flow) const {
 
 std::uint64_t Transport::FlowSeed(int flow, int side) const {
   // splitmix64-style finalizer over (config seed, flow id, half): two
-  // decorrelated streams per split flow whose draw order depends only on
+  // decorrelated streams per flow whose draw order depends only on
   // that half's own packet events — never on global event interleaving.
   std::uint64_t z =
       cfg_.seed ^ (0x9e3779b97f4a7c15ULL *
@@ -126,15 +123,8 @@ int Transport::OpenFlow(int src_ep, int dst_ep) {
   f.dst = dst_ep;
   f.sdom = DomainOf(src_ep);
   f.ddom = DomainOf(dst_ep);
-  // Legacy iff both halves advance on the home domain; anything else
-  // (either half foreign, even when both share one foreign domain) runs
-  // the split protocol with per-flow randomness.
-  f.split = !(f.sdom == &sim_ && f.ddom == &sim_);
-  if (f.split) {
-    any_split_ = true;
-    f.snd.rng = Rng(FlowSeed(f.id, 0));
-    f.rcv.rng = Rng(FlowSeed(f.id, 1));
-  }
+  f.snd.rng = Rng(FlowSeed(f.id, 0));
+  f.rcv.rng = Rng(FlowSeed(f.id, 1));
   // Size the per-endpoint fault/delay tables now, while single-threaded:
   // mid-round SetLinkFaults/SetLinkDelay then writes its own slot in place.
   EnsureLinkTables();
@@ -232,11 +222,6 @@ void Transport::SendMessageEx(int flow, Nanos t, std::uint64_t bytes,
   m.desc->last_psn = m.last_psn;
   m.desc->rnr_probe = std::move(ops.rnr_probe);
   m.desc->on_deliver = std::move(ops.on_deliver);
-  if (!f.split) {
-    // Same thread as the receiver half: file the delivery descriptor
-    // directly. Split flows ship it with every DATA packet instead.
-    f.rcv.rx_msgs.emplace(m.first_psn, m.desc);
-  }
   const bool was_idle = s.base == s.next_psn;
   s.next_psn += segs;
   s.msgs.push_back(std::move(m));
@@ -272,39 +257,18 @@ void Transport::SendPacket(Flow& f, std::uint64_t psn, const PacketView& p) {
   // bytes billed.
   const Nanos tx_done = fabric_.ReserveTx(f.src, t, wire);
   if (TakeForced(&force_drop_data_) ||
-      Draw(SndRng(f), FaultAt(f.src).loss)) {
+      Draw(f.snd.rng, FaultAt(f.src).loss)) {
     ++s.ctr.dropped_tx;
     return;
   }
-  if (!f.split) {
-    const Nanos at_dst = tx_done + fabric_.OneWay(f.src, f.dst) +
-                         DelayAt(f.src) + DelayAt(f.dst);
-    const Nanos arrive = fabric_.ReserveRx(f.dst, at_dst, wire);
-    if (Draw(RcvRng(f), FaultAt(f.dst).loss)) {
-      ++f.rcv.ctr.dropped_rx;
-      return;
-    }
-    if (Draw(SndRng(f), FaultAt(f.src).corrupt) ||
-        Draw(RcvRng(f), FaultAt(f.dst).corrupt)) {
-      // Bad ICRC at the receiver: silently discarded, exactly like a loss
-      // except the bytes crossed the whole path first.
-      ++f.rcv.ctr.corrupted;
-      return;
-    }
-    sim_.At(arrive, [this, fp = &f, psn, gen = s.gen] {
-      if (gen != fp->rcv.gen) return;  // a reset/failure outlived this packet
-      OnData(*fp, psn);
-    });
-    return;
-  }
-  // Split flow: the sender's half of the wire crossing ends here. The
-  // src-side corruption draw happens now (its RNG lives on this shard);
-  // the verdict rides the DATA message, and the receiver finishes the path
-  // (its own delay, RX reservation, ingress loss/corruption) over there.
+  // The sender's half of the wire crossing ends here. The src-side
+  // corruption draw happens now (its RNG lives on this shard); the verdict
+  // rides the DATA message, and the receiver finishes the path (its own
+  // delay, RX reservation, ingress loss/corruption) over there.
   // OneWay(src,dst) >= the coordinator's lookahead for any cross-shard
   // endpoint pair — the pair registered that floor at Attach — so the
-  // mailbox send is always legal.
-  const bool src_corrupt = Draw(SndRng(f), FaultAt(f.src).corrupt);
+  // send is always legal.
+  const bool src_corrupt = Draw(f.snd.rng, FaultAt(f.src).corrupt);
   const Nanos due = tx_done + fabric_.OneWay(f.src, f.dst) + DelayAt(f.src);
   f.sdom->SendTo(
       f.ddom->shard(), due,
@@ -325,11 +289,13 @@ void Transport::OnDataMail(Flow& f, std::uint64_t psn, std::uint64_t wire,
   }
   const Nanos at_dst = DNow(f) + DelayAt(f.dst);
   const Nanos arrive = fabric_.ReserveRx(f.dst, at_dst, wire);
-  if (Draw(RcvRng(f), FaultAt(f.dst).loss)) {
+  if (Draw(r.rng, FaultAt(f.dst).loss)) {
     ++r.ctr.dropped_rx;
     return;
   }
-  if (src_corrupt || Draw(RcvRng(f), FaultAt(f.dst).corrupt)) {
+  if (src_corrupt || Draw(r.rng, FaultAt(f.dst).corrupt)) {
+    // Bad ICRC at the receiver: silently discarded, exactly like a loss
+    // except the bytes crossed the whole path first.
     ++r.ctr.corrupted;
     return;
   }
@@ -346,7 +312,6 @@ void Transport::OnDataMail(Flow& f, std::uint64_t psn, std::uint64_t wire,
 
 void Transport::OnData(Flow& f, std::uint64_t psn) {
   ReceiverHalf& r = f.rcv;
-  if (!f.split && f.snd.error) return;
   if (psn == r.expected) {
     ++r.expected;
     if (Sr()) {
@@ -468,28 +433,12 @@ void Transport::SendAck(Flow& f, AckKind kind) {
   const std::uint64_t upto = r.expected;
   const Nanos tx_done = fabric_.ReserveTx(f.dst, DNow(f), wire);
   if (TakeForced(&force_drop_acks_) ||
-      Draw(RcvRng(f), FaultAt(f.dst).loss)) {
+      Draw(r.rng, FaultAt(f.dst).loss)) {
     ++r.ctr.acks_dropped;
     return;
   }
-  if (!f.split) {
-    const Nanos at_src = tx_done + fabric_.OneWay(f.dst, f.src) +
-                         DelayAt(f.dst) + DelayAt(f.src);
-    const Nanos arrive = fabric_.ReserveRx(f.src, at_src, wire);
-    if (Draw(SndRng(f), FaultAt(f.src).loss)) {
-      ++f.snd.ctr.acks_dropped;
-      return;
-    }
-    sim_.At(arrive, [this, fp = &f, upto, kind, gen = r.gen, high,
-                     ranges = std::move(ranges)] {
-      if (gen != fp->snd.gen) return;
-      OnAck(*fp, upto, kind, high, ranges);
-    });
-    return;
-  }
-  // Split flow: the ACK rides the mailbox back to the sender's shard,
-  // which finishes the reverse path (src delay, RX reservation, ingress
-  // loss) with its own RNG stream.
+  // The ACK crosses back to the sender's shard, which finishes the reverse
+  // path (src delay, RX reservation, ingress loss) with its own RNG stream.
   const Nanos due = tx_done + fabric_.OneWay(f.dst, f.src) + DelayAt(f.dst);
   f.ddom->SendTo(f.sdom->shard(), due,
                  [this, fp = &f, upto, kind, high, wire, gen = r.gen,
@@ -505,7 +454,7 @@ void Transport::OnAckMail(Flow& f, std::uint64_t upto, AckKind kind,
   SenderHalf& s = f.snd;
   const Nanos at_src = SNow(f) + DelayAt(f.src);
   const Nanos arrive = fabric_.ReserveRx(f.src, at_src, wire);
-  if (Draw(SndRng(f), FaultAt(f.src).loss)) {
+  if (Draw(s.rng, FaultAt(f.src).loss)) {
     ++s.ctr.acks_dropped;
     return;
   }
@@ -719,7 +668,7 @@ void Transport::ArmAckTimer(Flow& f) {
 void Transport::OnAckTimer(Flow& f, std::uint64_t epoch) {
   ReceiverHalf& r = f.rcv;
   r.ack_timer_armed = false;
-  if ((!f.split && f.snd.error) || r.rx_unacked == 0) return;
+  if (r.rx_unacked == 0) return;
   if (epoch != r.ack_epoch) {
     // An eager ACK superseded this timer but packets arrived since; cover
     // the current batch with a fresh delay.
@@ -818,35 +767,13 @@ void Transport::FailFlow(Flow& f, MsgFailure why) {
   } else {
     ++s.ctr.rnr_exhausted;
   }
-  if (!f.split) {
-    ReceiverHalf& r = f.rcv;
-    r.gen = s.gen;  // legacy halves share one incarnation, in lockstep
-    ++r.ack_epoch;
-    r.ack_timer_armed = false;
-    // The message under the exhausted budget carries the reason; everything
-    // queued behind it flushes. on_failed is the *only* hook fired — a
-    // delivered-but-unacked message is indistinguishable from an
-    // undelivered one at the requester, exactly the IB ambiguity ERROR
-    // state models.
-    bool first = true;
-    while (!s.msgs.empty()) {
-      Message m = std::move(s.msgs.front());
-      s.msgs.pop_front();
-      ++s.ctr.messages_failed;
-      if (m.on_failed) {
-        m.on_failed(SNow(f), first ? why : MsgFailure::kFlushed);
-      }
-      first = false;
-    }
-    r.rx_ooo.clear();
-    r.rx_msgs.clear();
-    s.known_received.clear();
-    s.retx_outstanding.clear();
-    return;
-  }
-  // Split flow: the receiver half is on another shard, and its delivery
-  // events for this incarnation may still be in flight. Park the queue and
-  // flush only on the fence echo.
+  // The receiver half may be on another shard, and its delivery events for
+  // this incarnation may still be in flight. Park the queue and flush only
+  // on the fence echo. The message under the exhausted budget carries the
+  // reason; everything queued behind it flushes. on_failed is the *only*
+  // hook fired — a delivered-but-unacked message is indistinguishable from
+  // an undelivered one at the requester, exactly the IB ambiguity ERROR
+  // state models.
   s.goback_armed = false;
   s.known_received.clear();
   s.retx_outstanding.clear();
@@ -857,26 +784,12 @@ void Transport::ResetFlow(int flow) {
   Flow& f = *flows_[static_cast<std::size_t>(flow)];
   AssertOn(f.sdom);
   SenderHalf& s = f.snd;
-  if (!f.split) {
-    // Tearing down a live flow flushes whatever is still queued; an errored
-    // flow already flushed everything in FailFlow.
-    while (!s.msgs.empty()) {
-      Message m = std::move(s.msgs.front());
-      s.msgs.pop_front();
-      ++s.ctr.messages_failed;
-      if (m.on_failed) m.on_failed(SNow(f), MsgFailure::kFlushed);
-    }
-    // Epochs and the generation survive the reset monotonically so events
-    // of the old incarnation can never match the new one's.
-    ResetSenderHalf(s, s.gen + 1, s.rto_epoch + 1);
-    ResetReceiverHalf(f.rcv, s.gen, f.rcv.ack_epoch + 1);
-    ++s.ctr.flow_resets;
-    return;
-  }
-  // Split flow: park the queue (everything flushes as kFlushed on the
-  // fence echo), restart the sender half now, and fence with the NEW
-  // incarnation — its echo flushes the limbo, including anything parked by
-  // an earlier FailFlow whose own echo lost the race.
+  // Park the queue (everything flushes as kFlushed on the fence echo),
+  // restart the sender half now, and fence with the NEW incarnation — its
+  // echo flushes the limbo, including anything parked by an earlier
+  // FailFlow whose own echo lost the race. Epochs and the generation
+  // survive the reset monotonically so events of the old incarnation can
+  // never match the new one's.
   while (!s.msgs.empty()) {
     Message m = std::move(s.msgs.front());
     s.msgs.pop_front();

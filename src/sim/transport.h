@@ -54,27 +54,26 @@
 // completions to on_acked and READ/receiver semantics to on_deliver — see
 // RnicDevice::SendOverTransport / ReadOverTransport and docs/NET.md.
 //
-// --- Split flows: one protocol, two event domains -------------------------
+// --- One protocol, two halves ----------------------------------------------
 //
 // A flow's state machine is split into a SenderHalf (window/base, SACK
 // retransmit bookkeeping, RTO + retry budgets, RNR backoff) and a
 // ReceiverHalf (reassembly, duplicate discard, SACK/NAK generation,
 // delayed-ACK timers). Each half lives on its endpoint's EventDomain — the
-// domain its device attached the fabric port with:
+// domain its device attached the fabric port with — and every flow runs
+// the same protocol whether its halves share a domain or not:
 //
-//  - When BOTH endpoints resolve to the transport's home domain, the flow
-//    runs the *legacy* path: both halves advance on the home thread, every
-//    loss/corruption draw comes from the one seeded `rng_` in event order,
-//    and the wire crossing is the synchronous ReserveTx→ReserveRx walk —
-//    byte-for-byte the pre-split engine, so shards=1 runs (and every
-//    existing golden) stay bit-identical.
-//  - Any other flow runs *split*: DATA, ACK/NAK, and reset-fence messages
-//    cross between the halves as timestamped mailbox messages on the
-//    sharded engine's (time, src_shard, seq) path (EventDomain::SendTo),
-//    and all randomness moves to two per-flow seeded streams (sender-half
-//    egress draws, receiver-half ingress draws — keyed off cfg.seed and
-//    the flow id), so draw order is a pure function of seed × shard count.
-//    The fabric guarantees OneWay(src,dst) ≥ the coordinator's lookahead
+//  - DATA, ACK/NAK, and reset-fence messages cross between the halves as
+//    timestamped messages via EventDomain::SendTo, which is a plain `At`
+//    when both halves share a shard and a (time, src_shard, seq) mailbox
+//    crossing otherwise. The sender half finishes its side of the wire
+//    (TX reservation, egress loss, src-side corruption, src delay) before
+//    the crossing; the receiver half finishes the rest (dst delay, RX
+//    reservation, ingress loss/corruption) when the message lands.
+//  - All randomness comes from two per-flow seeded streams (sender-half
+//    egress draws, receiver-half ingress draws — keyed off cfg.seed and the
+//    flow id), so draw order is a pure function of seed × shard count.
+//  - The fabric guarantees OneWay(src,dst) ≥ the coordinator's lookahead
 //    for any cross-shard endpoint pair (the pair itself registered a
 //    lookahead floor at attach), which is exactly what makes every
 //    cross-half SendTo legal.
@@ -84,13 +83,12 @@
 // src link's fault/delay entries are touched only on the sender's domain;
 // likewise for the receiver half and dst. SendMessage/ResetFlow/
 // FlowErrored are sender-half calls; SetLinkFaults/SetLinkDelay belong to
-// the endpoint's owning shard. In split mode FailFlow/ResetFlow flush
-// asynchronously: the sender bumps its incarnation, parks unacked messages
-// in a limbo queue, and posts a reset fence to the receiver; only the
-// fence's echo (≈ one RTT later) fires their on_failed — guaranteeing no
-// receiver-side delivery of the old incarnation can still be in flight
-// when the caller reclaims message resources. Legacy flows flush
-// synchronously, exactly as before.
+// the endpoint's owning shard. FailFlow/ResetFlow flush asynchronously: the
+// sender bumps its incarnation, parks unacked messages in a limbo queue,
+// and posts a reset fence to the receiver; only the fence's echo (≈ one
+// RTT later) fires their on_failed — guaranteeing no receiver-side
+// delivery of the old incarnation can still be in flight when the caller
+// reclaims message resources.
 //
 // The transport is pure protocol + timing: like the fabric it moves no
 // payload bytes (the device's pooled Payload carries them) and it knows
@@ -208,9 +206,7 @@ class Transport {
   // a message fires either {on_deliver, on_acked} or on_failed, never both.
   //
   // Shard affinity: rnr_probe and on_deliver run on the RECEIVER half's
-  // domain; on_acked and on_failed run on the SENDER half's domain. For a
-  // flow whose endpoints share the transport's home domain they all run
-  // there, exactly as before.
+  // domain; on_acked and on_failed run on the SENDER half's domain.
   struct MessageOps {
     std::function<bool(Nanos)> rnr_probe;
     Callback on_deliver;
@@ -218,9 +214,8 @@ class Transport {
     std::function<void(Nanos, MsgFailure)> on_failed;
   };
 
-  // `sim` is the transport's home domain: flows whose two endpoints both
-  // resolve to it run the single-threaded legacy path; every other flow
-  // runs split across its endpoints' domains (see the file comment).
+  // `sim` is the domain of endpoints whose device attached the fabric
+  // without one; every other half runs on its endpoint's domain.
   Transport(Simulator& sim, Fabric& fabric, TransportConfig cfg = {});
 
   Transport(const Transport&) = delete;
@@ -272,9 +267,9 @@ class Transport {
   // Tears the flow back to a fresh PSN space (the ibv_modify_qp →RESET
   // analogue): pending messages flush via on_failed(kFlushed), in-flight
   // packets and timers of the old incarnation die, and both the sender and
-  // receiver halves restart from PSN 0. On a split flow the receiver half
-  // restarts when the reset fence reaches it (≈ OneWay later) and the
-  // flushes fire on the fence's echo; a legacy flow flushes synchronously.
+  // receiver halves restart from PSN 0. The receiver half restarts when
+  // the reset fence reaches it (≈ OneWay later) and the flushes fire on
+  // the fence's echo.
   // Must be called on the flow's sender-half domain.
   void ResetFlow(int flow);
 
@@ -294,8 +289,8 @@ class Transport {
 
   // Deterministic fault hooks for tests: eat the next `n` data packets /
   // ACKs crossing the fabric, bypassing the probabilistic model (and
-  // consuming no randomness). Atomic because split flows consume the data
-  // budget on sender shards and the ACK budget on receiver shards.
+  // consuming no randomness). Atomic because flows consume the data budget
+  // on sender shards and the ACK budget on receiver shards.
   void DropNextData(int n) {
     force_drop_data_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -309,10 +304,9 @@ class Transport {
   // is receiver-not-ready, answered with backoff instead of retransmission.
   enum class AckKind : std::uint8_t { kAck, kNak, kRnr };
 
-  // Receiver-half view of one message: what the delivery logic needs. On a
-  // legacy flow it is filed into the receiver's reassembly map at
-  // SendMessage time (same thread); on a split flow every DATA packet of
-  // the message carries it, and the receiver files it idempotently.
+  // Receiver-half view of one message: what the delivery logic needs.
+  // Every DATA packet of the message carries it, and the receiver files it
+  // idempotently.
   struct RxDesc {
     std::uint64_t len = 0;
     std::uint64_t first_psn = 0;
@@ -329,8 +323,8 @@ class Transport {
     Nanos ready = 0;  // earliest transmission instant (DMA/exec done)
     Callback on_acked;
     std::function<void(Nanos, MsgFailure)> on_failed;
-    std::shared_ptr<RxDesc> desc;  // split flows: shipped with each packet
-    MsgFailure why = MsgFailure::kFlushed;  // limbo flush reason (split)
+    std::shared_ptr<RxDesc> desc;  // shipped with each packet
+    MsgFailure why = MsgFailure::kFlushed;  // limbo flush reason
   };
 
   struct SenderHalf {
@@ -352,11 +346,10 @@ class Transport {
     std::set<std::uint64_t> known_received;   // SACKed above base (SR)
     std::set<std::uint64_t> retx_outstanding; // SACK-resent, once per event
     std::deque<Message> msgs;       // FIFO, not yet fully acked
-    // Split flows: unacked messages of a failed/reset incarnation, held
-    // until the reset fence echoes back (no receiver-side event of the old
+    // Unacked messages of a failed/reset incarnation, held until the reset fence echoes back (no receiver-side event of the old
     // life can still fire), then flushed via on_failed.
     std::deque<Message> limbo;
-    Rng rng{1};                     // split flows: egress-side draws
+    Rng rng{1};                     // egress-side draws
     TransportCounters ctr;          // sender-half share of the counters
   };
 
@@ -369,7 +362,7 @@ class Transport {
     std::set<std::uint64_t> rx_ooo; // held out-of-order PSNs (SR only)
     // Reassembly/delivery queue, keyed by first PSN.
     std::map<std::uint64_t, std::shared_ptr<RxDesc>> rx_msgs;
-    Rng rng{1};                     // split flows: ingress-side draws
+    Rng rng{1};                     // ingress-side draws
     TransportCounters ctr;          // receiver-half share of the counters
   };
 
@@ -382,7 +375,6 @@ class Transport {
     int dst = -1;
     EventDomain* sdom = nullptr;  // sender half's event domain
     EventDomain* ddom = nullptr;  // receiver half's event domain
-    bool split = false;           // false: both halves on the home domain
     SenderHalf snd;
     ReceiverHalf rcv;
   };
@@ -395,7 +387,7 @@ class Transport {
   struct PacketView {
     std::uint32_t bytes;  // payload bytes (wire adds header_bytes)
     Nanos ready;
-    const Message* msg;   // owning message (split flows ship msg->desc)
+    const Message* msg;   // owning message (its desc rides the packet)
   };
 
   // Missing-PSN ranges [first, last] carried by a selective-repeat ACK.
@@ -421,11 +413,6 @@ class Transport {
   }
   Nanos SNow(const Flow& f) const { return f.sdom->now(); }
   Nanos DNow(const Flow& f) const { return f.ddom->now(); }
-  // Randomness sources: the home stream for legacy flows (draws interleave
-  // in event order, exactly the pre-split behaviour), per-half streams for
-  // split flows (draw order invariant under shard count).
-  Rng& SndRng(Flow& f) { return f.split ? f.snd.rng : rng_; }
-  Rng& RcvRng(Flow& f) { return f.split ? f.rcv.rng : rng_; }
   static bool Draw(Rng& rng, double p) {
     return p > 0.0 && rng.NextDouble() < p;
   }
@@ -463,8 +450,8 @@ class Transport {
   int SackRetransmit(Flow& f, const SackRanges& ranges);
   void OnAck(Flow& f, std::uint64_t upto, AckKind kind, std::uint64_t high,
              const SackRanges& ranges);
-  // ACK-leg ingress at the sender's endpoint (split flows: runs as the
-  // mailbox message the receiver posted).
+  // ACK-leg ingress at the sender's endpoint: runs as the message the
+  // receiver half posted.
   void OnAckMail(Flow& f, std::uint64_t upto, AckKind kind,
                  std::uint64_t high, SackRanges ranges, std::uint64_t wire,
                  std::uint64_t gen);
@@ -473,8 +460,8 @@ class Transport {
   void OnRto(Flow& f);
   void OnRnrResume(Flow& f);
   void FailFlow(Flow& f, MsgFailure why);
-  // Split flows: parks the unacked queue in limbo and posts the reset
-  // fence; the fence's echo (OnFenceEcho) flushes it.
+  // Parks the unacked queue in limbo and posts the reset fence; the
+  // fence's echo (OnFenceEcho) flushes it.
   void ParkAndFence(Flow& f, MsgFailure why);
   void OnFenceEcho(Flow& f, std::uint64_t gen);
   void FlushLimbo(Flow& f);
@@ -485,8 +472,8 @@ class Transport {
                                 std::uint64_t ack_epoch);
 
   // --- receiver-half logic (runs on f.ddom) ---------------------------------
-  // DATA-leg ingress at the receiver's endpoint (split flows: runs as the
-  // mailbox message the sender posted).
+  // DATA-leg ingress at the receiver's endpoint: runs as the message the
+  // sender half posted.
   void OnDataMail(Flow& f, std::uint64_t psn, std::uint64_t wire,
                   std::uint64_t gen, bool src_corrupt,
                   std::shared_ptr<RxDesc> desc);
@@ -503,15 +490,13 @@ class Transport {
   // or DATA of a newer life overtook it).
   void AdoptGen(Flow& f, std::uint64_t gen);
 
-  Simulator& sim_;  // home domain
+  Simulator& sim_;  // domain of endpoints attached without one
   Fabric& fabric_;
   TransportConfig cfg_;
-  Rng rng_;  // legacy flows' shared stream
   std::vector<std::unique_ptr<Flow>> flows_;
   std::vector<LinkFault> faults_;  // indexed by endpoint
   std::vector<Nanos> delays_;      // per-endpoint added latency (kSlow)
   LinkFault default_fault_;
-  bool any_split_ = false;  // at least one flow crosses domains
   std::atomic<int> force_drop_data_{0};
   std::atomic<int> force_drop_acks_{0};
 };

@@ -113,12 +113,12 @@ void Validate(const KvServiceConfig& cfg) {
 KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   Validate(cfg);
 
-  // The KV shards (and the transport's home) live on service_shard; each
-  // tenant's NIC lives on placement[t] (empty = co-resident with the
-  // service). Co-resident flows stay single-domain legacy flows; a spread
-  // tenant's flows split into per-endpoint halves riding the mailbox sync
-  // (docs/NET.md "Split flows"). sim_shards == 1 is the classic
-  // single-domain path, bit-identical to the pre-sharding driver.
+  // The KV shards live on service_shard; each tenant's NIC lives on
+  // placement[t] (empty = co-resident with the service). Every transport
+  // flow runs as per-endpoint halves that talk via SendTo (docs/NET.md
+  // "Split flows"), and every cross-domain step of the driver (probe RQ
+  // top-ups, heals, recovery reopen) runs as SendTo legs at the fabric
+  // one-way latency — a plain `At` when tenant and service share a domain.
   sim::ShardedSimulator ssim(cfg.sim_shards);
   sim::Simulator& sim = ssim.shard(cfg.service_shard);
   sim::Fabric fabric(cfg.switch_latency);
@@ -499,15 +499,15 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     // read-your-writes floor.
     std::unordered_map<std::uint64_t, std::uint64_t> ryw;
     // Shard-local accounting: the tenant's domain owns these, and the
-    // run-wide totals are merged after RunUntil (tenant order), so spread
-    // placements never write run-global counters from a shard thread.
+    // run-wide totals are merged after RunUntil (tenant order), so tenants
+    // never write run-global counters from a shard thread.
     sim::Nanos first_sent = -1;
     sim::Nanos last_resp = 0;
     std::uint64_t err_cqes = 0, stale = 0, probes = 0;
     std::uint64_t heal_resends = 0, put_retry = 0, ryw_viol = 0, full_acks = 0;
     std::vector<AckedWrite> ledger;
-    // Nonzero while a spread heal is mid-flight between its tenant-shard
-    // and service-shard legs: the server-side offload program is being
+    // Nonzero while a heal is mid-flight between its tenant-shard and
+    // service-shard legs: the server-side offload program is being
     // swapped over there, so sends park until the final leg resumes them.
     int healing = 0;
   };
@@ -524,8 +524,8 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
       cfg.timeout_exp > 0 ? (sim::Nanos{4096} << cfg.timeout_exp) : tc.rto;
   const sim::Nanos host_timeout =
       cfg.host_timeout > 0 ? cfg.host_timeout : 16 * base_rto;
-  // One-way endpoint->endpoint latency: the legal (and exact) cross-shard
-  // mailbox hop between a spread tenant's domain and the service shard.
+  // One-way endpoint->endpoint latency: the legal (and exact) hop between a
+  // tenant's domain and the service shard.
   const sim::Nanos hop = 2 * cfg.propagation + cfg.switch_latency;
 
   sim::Nanos first_sent = -1;
@@ -575,22 +575,15 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     sim::Simulator& ts = tsim(t);
     rnic::QueuePair* ps =
         probe_srv[static_cast<std::size_t>(t)][static_cast<std::size_t>(p)];
-    if (place[static_cast<std::size_t>(t)] == cfg.service_shard) {
+    // Keep the responder's RQ topped up. It belongs to the service shard,
+    // so the top-up rides SendTo at the one-way latency (the probe itself
+    // takes at least as long to arrive, so the RQ is replenished in time).
+    ts.SendTo(cfg.service_shard, ts.now() + hop, [ps] {
       if (ps->alive && ps->state == rnic::QpState::kRts) {
         verbs::RecvWr rwr;
-        verbs::PostRecv(ps, rwr);  // keep the responder's RQ topped up
+        verbs::PostRecv(ps, rwr);
       }
-    } else {
-      // The responder's RQ belongs to the service shard; the top-up rides
-      // the mailbox at the one-way latency (the probe itself takes at
-      // least as long to arrive, so the RQ is replenished in time).
-      ts.SendTo(cfg.service_shard, ts.now() + hop, [ps] {
-        if (ps->alive && ps->state == rnic::QpState::kRts) {
-          verbs::RecvWr rwr;
-          verbs::PostRecv(ps, rwr);
-        }
-      });
-    }
+    });
     ts.After(cfg.probe_interval,
              [&, t, seq, attempt, p] { probe_fn(t, seq, attempt, p); });
   };
@@ -623,7 +616,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     Tenant& T = tenants[static_cast<std::size_t>(t)];
     sim::Simulator& ts = tsim(t);
     if (T.healing > 0) {
-      // A spread heal is rebuilding this tenant's server-side programs on
+      // A heal is rebuilding this tenant's server-side programs on
       // the service shard; park like the no-live-replica case and let the
       // heal's final leg (or this retry) resume.
       ts.After(sim::Millis(1), [&, t] {
@@ -1029,63 +1022,42 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     for (int t = 0; t < cfg.tenants; ++t) {
       PutLink& L =
           plinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
-      if (place[static_cast<std::size_t>(t)] != cfg.service_shard) {
-        // Spread tenant: only the shard-side ends may be inspected here.
-        // The tenant-shard leg checks its own ends, cycles them, and hops
-        // back so the request slots are re-posted after both ends are
-        // fresh (a put racing the middle leg just RNR-retries).
-        const bool srv_bad =
-            qp_unhealthy(L.req_srv) || qp_unhealthy(L.ack_srv);
-        sim.SendTo(
-            place[static_cast<std::size_t>(t)], sim.now() + hop,
-            [&, t, s, srv_bad] {
-              PutLink& LL = plinks[static_cast<std::size_t>(t)]
-                                  [static_cast<std::size_t>(s)];
-              Tenant& T = tenants[static_cast<std::size_t>(t)];
-              if (!srv_bad && !qp_unhealthy(LL.req_cli) &&
-                  !qp_unhealthy(LL.ack_cli)) {
-                return;
-              }
-              rnic::Cqe cqe;
-              for (rnic::QueuePair* q : {LL.req_cli, LL.ack_cli}) {
-                while (tdev[static_cast<std::size_t>(t)]->PollCq(
-                           q->send_cq, 1, &cqe) == 1) {
-                  if (cqe.status != rnic::WcStatus::kSuccess) ++T.err_cqes;
-                }
-              }
-              cycle_qp(LL.req_cli);
-              cycle_qp(LL.ack_cli);
-              for (int i = 0; i < kPutSlots; ++i) post_ack_slot(LL, i);
-              sim::Simulator& ts = tsim(t);
-              ts.SendTo(cfg.service_shard, ts.now() + hop, [&, t, s] {
-                PutLink& LS = plinks[static_cast<std::size_t>(t)]
-                                    [static_cast<std::size_t>(s)];
-                cycle_qp(LS.req_srv);
-                cycle_qp(LS.ack_srv);
-                for (int i = 0; i < kPutSlots; ++i) post_req_slot(LS, i);
-              });
-            });
-        continue;
-      }
-      if (!(qp_unhealthy(L.req_cli) || qp_unhealthy(L.req_srv) ||
-            qp_unhealthy(L.ack_srv) || qp_unhealthy(L.ack_cli))) {
-        continue;
-      }
-      // Drain flushed/error CQEs nothing else polls.
-      rnic::Cqe cqe;
-      for (rnic::QueuePair* q : {L.req_cli, L.ack_cli}) {
-        while (tdev[static_cast<std::size_t>(t)]->PollCq(q->send_cq, 1,
-                                                         &cqe) == 1) {
-          if (cqe.status != rnic::WcStatus::kSuccess) ++error_cqes;
+      // Only the shard-side ends may be inspected here: the tenant's ends
+      // belong to its domain. The tenant-shard leg checks its own ends,
+      // cycles them, and hops back so the request slots are re-posted
+      // after both ends are fresh (a put racing the middle leg just
+      // RNR-retries).
+      const bool srv_bad =
+          qp_unhealthy(L.req_srv) || qp_unhealthy(L.ack_srv);
+      sim.SendTo(place[static_cast<std::size_t>(t)], sim.now() + hop,
+                 [&, t, s, srv_bad] {
+        PutLink& LL =
+            plinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
+        Tenant& T = tenants[static_cast<std::size_t>(t)];
+        if (!srv_bad && !qp_unhealthy(LL.req_cli) &&
+            !qp_unhealthy(LL.ack_cli)) {
+          return;
         }
-      }
-      for (rnic::QueuePair* q : {L.req_cli, L.req_srv, L.ack_srv, L.ack_cli}) {
-        cycle_qp(q);
-      }
-      for (int i = 0; i < kPutSlots; ++i) {
-        post_req_slot(L, i);
-        post_ack_slot(L, i);
-      }
+        // Drain flushed/error CQEs nothing else polls.
+        rnic::Cqe cqe;
+        for (rnic::QueuePair* q : {LL.req_cli, LL.ack_cli}) {
+          while (tdev[static_cast<std::size_t>(t)]->PollCq(q->send_cq, 1,
+                                                           &cqe) == 1) {
+            if (cqe.status != rnic::WcStatus::kSuccess) ++T.err_cqes;
+          }
+        }
+        cycle_qp(LL.req_cli);
+        cycle_qp(LL.ack_cli);
+        for (int i = 0; i < kPutSlots; ++i) post_ack_slot(LL, i);
+        sim::Simulator& ts = tsim(t);
+        ts.SendTo(cfg.service_shard, ts.now() + hop, [&, t, s] {
+          PutLink& LS = plinks[static_cast<std::size_t>(t)]
+                              [static_cast<std::size_t>(s)];
+          cycle_qp(LS.req_srv);
+          cycle_qp(LS.ack_srv);
+          for (int i = 0; i < kPutSlots; ++i) post_req_slot(LS, i);
+        });
+      });
     }
     for (int x = 0; x < cfg.shards; ++x) {
       if (x != s && ring.SuccessorOf(x) != s) continue;
@@ -1109,223 +1081,144 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     }
   };
 
-  // Spread-tenant heal: the same recovery as the co-resident body below,
-  // split into a tenant-shard leg (client-side QP halves), a service-shard
-  // leg (server-side halves + offload program rebuilds), and a final
-  // tenant-shard leg that resumes sends only once the fresh server program
-  // is armed. Each leg rides the mailbox at the fabric one-way latency —
+  // Client-side recovery for shard `s`, per in-scope tenant. `crash`
+  // forces a full transport re-arm (the server side was revived in ERROR
+  // even if the client QP never noticed); `clear_dead` restores routing to
+  // s now, while a re-syncing shard instead CLOSES routing (dead[s] = 1)
+  // and defers the reopen to finish_recovery — otherwise a tenant that
+  // never saw the outage (e.g. parked on the put watchdog the whole
+  // window) could read the wiped store before anti-entropy drains.
+  //
+  // The heal runs as a tenant-shard leg (client-side QP halves), a
+  // service-shard leg (server-side halves + offload program rebuilds), and
+  // a final tenant-shard leg that resumes sends only once the fresh server
+  // program is armed. Each leg rides SendTo at the fabric one-way latency —
   // a client really would learn of the heal over the wire. T.healing parks
   // sends across the window so no trigger races the program swap.
-  auto heal_tenant_spread = [&](int s, bool crash, bool clear_dead, int t) {
-    sim.SendTo(place[static_cast<std::size_t>(t)], sim.now() + hop,
-               [&, s, crash, clear_dead, t] {
-      Tenant& T = tenants[static_cast<std::size_t>(t)];
-      offloads::HashGetHarness* h =
-          H[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)].get();
-      rnic::QueuePair* qp = h->client_qp();
-      const bool errored = qp->state == rnic::QpState::kError;
-      const bool routed_off = T.dead[static_cast<std::size_t>(s)] != 0;
-      if (!clear_dead) {
-        // The shard is rejoining with a wiped store: close routing even
-        // for a tenant that never saw the failure first-hand (its op may
-        // have been parked on the watchdog the whole window), or a stale
-        // read slips out before anti-entropy drains. finish_recovery
-        // reopens the flag once the resync completes.
-        T.dead[static_cast<std::size_t>(s)] = 1;
-      }
-      if (!errored && !crash && !routed_off) return;
-      ++T.healing;
-      rnic::Cqe cqe;
-      while (tdev[static_cast<std::size_t>(t)]->PollCq(qp->send_cq, 1,
-                                                       &cqe) == 1) {
-        if (cqe.status != rnic::WcStatus::kSuccess) ++T.err_cqes;
-      }
-      const bool rearm = errored || crash;
-      const int arm_n = T.remaining + 8;
-      if (rearm) h->RearmTransportClientHalf();
-      if (clear_dead) T.dead[static_cast<std::size_t>(s)] = 0;
-      bool pc_err = false;
-      std::vector<std::pair<int, char>> detours;  // (column, client errored)
-      if (offloaded) {
-        auto& chain =
-            chains[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
-        if (qp->send_cq->hw_count() >= chain->wait_threshold()) {
-          chain->Rearm();
-        }
-        rnic::QueuePair* pc = probe_cli[static_cast<std::size_t>(t)]
-                                      [static_cast<std::size_t>(s)];
-        pc_err = pc->state == rnic::QpState::kError;
-        if (pc_err) cycle_qp(pc);
-        if (crash) {
-          for (int x = 0; x < cfg.shards; ++x) {
-            if (ring.SuccessorOf(x) != s) continue;
-            offloads::HashGetHarness* f =
-                F[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
-                    .get();
-            const bool fc = f->client_qp()->state == rnic::QpState::kError;
-            if (fc) f->RearmTransportClientHalf();
-            detours.emplace_back(x, fc ? 1 : 0);
-          }
-        }
-      }
-      sim::Simulator& ts = tsim(t);
-      ts.SendTo(
-          cfg.service_shard, ts.now() + hop,
-          [&, s, t, rearm, arm_n, pc_err, detours = std::move(detours)] {
-        if (rearm) {
-          offloads::HashGetHarness* h =
-              H[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)]
-                  .get();
-          h->RearmTransportServerHalf(arm_n);
-          h->SetServerOwner(kShardPidBase + s);
-        }
-        bool cycle_pc = false;
-        // Detour columns the final tenant leg must finish: (column,
-        // client half still to cycle).
-        std::vector<std::pair<int, char>> fresh;
-        if (offloaded) {
-          rnic::QueuePair* ps = probe_srv[static_cast<std::size_t>(t)]
-                                        [static_cast<std::size_t>(s)];
-          if (pc_err || ps->state == rnic::QpState::kError) {
-            cycle_pc = !pc_err;  // only the server end tripped
-            cycle_qp(ps);
-            verbs::RecvWr rwr;
-            for (int i = 0; i < 64; ++i) verbs::PostRecv(ps, rwr);
-          }
-          for (const auto& [x, fc] : detours) {
-            offloads::HashGetHarness* f =
-                F[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
-                    .get();
-            const bool fs = f->server_qp()->state == rnic::QpState::kError;
-            if (!fc && !fs) continue;
-            f->RearmTransportServerHalf(kDetourArms);
-            f->SetServerOwner(kShardPidBase + s);
-            fresh.emplace_back(x, fc ? 0 : 1);
-          }
-        }
-        sim.SendTo(place[static_cast<std::size_t>(t)], sim.now() + hop,
-                   [&, s, t, cycle_pc, fresh = std::move(fresh)] {
-          if (cycle_pc) {
-            cycle_qp(probe_cli[static_cast<std::size_t>(t)]
-                             [static_cast<std::size_t>(s)]);
-          }
-          for (const auto& [x, nc] : fresh) {
-            offloads::HashGetHarness* f =
-                F[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
-                    .get();
-            if (nc) f->RearmTransportClientHalf();
-            f->PrepostResponseRecvs(kDetourArms + 4);
-            chains[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
-                ->Rearm();
-          }
-          Tenant& T = tenants[static_cast<std::size_t>(t)];
-          --T.healing;
-          if (T.waiting && T.target == s) {
-            ++T.heal_resends;
-            send_fn(t);
-          } else if (!T.waiting && T.remaining > 0 && T.started) {
-            send_fn(t);
-          }
-        });
-      });
-    });
-  };
-
-  // Per-tenant client-side recovery for shard `s`. `crash` forces a full
-  // transport re-arm (the server side was revived in ERROR even if the
-  // client QP never noticed); `clear_dead` restores routing to s now,
-  // while a re-syncing shard instead CLOSES routing on sharded runs
-  // (dead[s] = 1 for every tenant in scope) and defers the reopen to
-  // finish_recovery — otherwise a tenant that never saw the outage
-  // (e.g. parked on the put watchdog the whole window on its own
-  // domain) could read the wiped store before anti-entropy drains.
   auto heal_tenants = [&](const FaultEntry& e, int s, bool crash,
                           bool clear_dead) {
     for (int t = 0; t < cfg.tenants; ++t) {
       if (!tenant_in_scope(e, t)) continue;
-      if (place[static_cast<std::size_t>(t)] != cfg.service_shard) {
-        heal_tenant_spread(s, crash, clear_dead, t);
-        continue;
-      }
-      Tenant& T = tenants[static_cast<std::size_t>(t)];
-      offloads::HashGetHarness* h =
-          H[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)].get();
-      rnic::QueuePair* qp = h->client_qp();
-      const bool errored = qp->state == rnic::QpState::kError;
-      const bool routed_off = T.dead[static_cast<std::size_t>(s)] != 0;
-      if (!clear_dead && cfg.sim_shards > 1) {
-        // Same stale-read guard as the spread leg: a re-syncing shard is
-        // unroutable until finish_recovery, no matter what this tenant
-        // observed during the outage. Gated to sharded runs — classic
-        // single-domain runs keep their recorded schedules bit for bit
-        // (there a put reaching the re-syncing shard dies on its ERROR
-        // QP and retries off the watchdog; only gets could read stale,
-        // and the goldens' tight co-resident interleavings mark the
-        // shard dead through first-hand probe/detour evidence first).
-        T.dead[static_cast<std::size_t>(s)] = 1;
-      }
-      if (!errored && !crash && !routed_off) {
-        continue;
-      }
-      // Drain the failure CQEs nothing else polls (the WAIT chain
-      // consumed them NIC-side; this is host bookkeeping).
-      rnic::Cqe cqe;
-      while (tdev[static_cast<std::size_t>(t)]->PollCq(qp->send_cq, 1,
-                                                       &cqe) == 1) {
-        if (cqe.status != rnic::WcStatus::kSuccess) ++error_cqes;
-      }
-      if (errored || crash) {
-        h->RearmTransport(T.remaining + 8);
-        h->SetServerOwner(kShardPidBase + s);  // re-tag the fresh program
-      }
-      if (clear_dead) T.dead[static_cast<std::size_t>(s)] = 0;
-      if (offloaded) {
-        auto& chain =
-            chains[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
-        if (qp->send_cq->hw_count() >= chain->wait_threshold()) {
-          chain->Rearm();  // the old WAIT fired; park a fresh detour
+      sim.SendTo(place[static_cast<std::size_t>(t)], sim.now() + hop,
+                 [&, s, crash, clear_dead, t] {
+        Tenant& T = tenants[static_cast<std::size_t>(t)];
+        offloads::HashGetHarness* h =
+            H[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)].get();
+        rnic::QueuePair* qp = h->client_qp();
+        const bool errored = qp->state == rnic::QpState::kError;
+        const bool routed_off = T.dead[static_cast<std::size_t>(s)] != 0;
+        if (!clear_dead) {
+          // The shard is rejoining with a wiped store: close routing even
+          // for a tenant that never saw the failure first-hand (its op may
+          // have been parked on the watchdog the whole window), or a stale
+          // read slips out before anti-entropy drains. finish_recovery
+          // reopens the flag once the resync completes.
+          T.dead[static_cast<std::size_t>(s)] = 1;
         }
-        rnic::QueuePair* pc = probe_cli[static_cast<std::size_t>(t)]
-                                      [static_cast<std::size_t>(s)];
-        rnic::QueuePair* ps = probe_srv[static_cast<std::size_t>(t)]
-                                      [static_cast<std::size_t>(s)];
-        if (pc->state == rnic::QpState::kError ||
-            ps->state == rnic::QpState::kError) {
-          cycle_qp(pc);
-          cycle_qp(ps);
-          verbs::RecvWr rwr;
-          for (int i = 0; i < 64; ++i) verbs::PostRecv(ps, rwr);
+        if (!errored && !crash && !routed_off) return;
+        ++T.healing;
+        // Drain the failure CQEs nothing else polls (the WAIT chain consumed
+        // them NIC-side; this is host bookkeeping).
+        rnic::Cqe cqe;
+        while (tdev[static_cast<std::size_t>(t)]->PollCq(qp->send_cq, 1,
+                                                         &cqe) == 1) {
+          if (cqe.status != rnic::WcStatus::kSuccess) ++T.err_cqes;
         }
-        if (crash) {
-          // Detours whose BACKUP is the re-joined shard parked their get
-          // on QPs the crash flushed; re-arm them and park fresh detours.
-          for (int x = 0; x < cfg.shards; ++x) {
-            if (ring.SuccessorOf(x) != s) continue;
-            offloads::HashGetHarness* f =
-                F[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
-                    .get();
-            if (f->client_qp()->state == rnic::QpState::kError ||
-                f->server_qp()->state == rnic::QpState::kError) {
-              f->RearmTransport(kDetourArms);
-              f->SetServerOwner(kShardPidBase + s);
-              f->PrepostResponseRecvs(kDetourArms + 4);
-              chains[static_cast<std::size_t>(t)]
-                    [static_cast<std::size_t>(x)]
-                        ->Rearm();
+        const bool rearm = errored || crash;
+        const int arm_n = T.remaining + 8;
+        if (rearm) h->RearmTransportClientHalf();
+        if (clear_dead) T.dead[static_cast<std::size_t>(s)] = 0;
+        bool pc_err = false;
+        std::vector<std::pair<int, char>> detours;  // (column, client errored)
+        if (offloaded) {
+          auto& chain =
+              chains[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
+          if (qp->send_cq->hw_count() >= chain->wait_threshold()) {
+            chain->Rearm();  // the old WAIT fired; park a fresh detour
+          }
+          rnic::QueuePair* pc = probe_cli[static_cast<std::size_t>(t)]
+                                        [static_cast<std::size_t>(s)];
+          pc_err = pc->state == rnic::QpState::kError;
+          if (pc_err) cycle_qp(pc);
+          if (crash) {
+            // Detours whose BACKUP is the re-joined shard parked their get
+            // on QPs the crash flushed; re-arm them and park fresh detours.
+            for (int x = 0; x < cfg.shards; ++x) {
+              if (ring.SuccessorOf(x) != s) continue;
+              offloads::HashGetHarness* f =
+                  F[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
+                      .get();
+              const bool fc = f->client_qp()->state == rnic::QpState::kError;
+              if (fc) f->RearmTransportClientHalf();
+              detours.emplace_back(x, fc ? 1 : 0);
             }
           }
         }
-      }
-      if (T.waiting && T.target == s) {
-        // The pending op died in the reset's flush — re-send it (its
-        // latency keeps accruing from the original t_sent; send_fn
-        // respects the dead flags, so a re-syncing s is avoided).
-        ++T.heal_resends;
-        send_fn(t);
-      } else if (!T.waiting && T.remaining > 0 && T.started) {
-        // The tenant parked because both replicas looked dead.
-        send_fn(t);
-      }
+        sim::Simulator& ts = tsim(t);
+        ts.SendTo(
+            cfg.service_shard, ts.now() + hop,
+            [&, s, t, rearm, arm_n, pc_err, detours = std::move(detours)] {
+          if (rearm) {
+            offloads::HashGetHarness* h =
+                H[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)]
+                    .get();
+            h->RearmTransportServerHalf(arm_n);
+            h->SetServerOwner(kShardPidBase + s);
+          }
+          bool cycle_pc = false;
+          // Detour columns the final tenant leg must finish: (column,
+          // client half still to cycle).
+          std::vector<std::pair<int, char>> fresh;
+          if (offloaded) {
+            rnic::QueuePair* ps = probe_srv[static_cast<std::size_t>(t)]
+                                          [static_cast<std::size_t>(s)];
+            if (pc_err || ps->state == rnic::QpState::kError) {
+              cycle_pc = !pc_err;  // only the server end tripped
+              cycle_qp(ps);
+              verbs::RecvWr rwr;
+              for (int i = 0; i < 64; ++i) verbs::PostRecv(ps, rwr);
+            }
+            for (const auto& [x, fc] : detours) {
+              offloads::HashGetHarness* f =
+                  F[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
+                      .get();
+              const bool fs = f->server_qp()->state == rnic::QpState::kError;
+              if (!fc && !fs) continue;
+              f->RearmTransportServerHalf(kDetourArms);
+              f->SetServerOwner(kShardPidBase + s);
+              fresh.emplace_back(x, fc ? 0 : 1);
+            }
+          }
+          sim.SendTo(place[static_cast<std::size_t>(t)], sim.now() + hop,
+                     [&, s, t, cycle_pc, fresh = std::move(fresh)] {
+            if (cycle_pc) {
+              cycle_qp(probe_cli[static_cast<std::size_t>(t)]
+                               [static_cast<std::size_t>(s)]);
+            }
+            for (const auto& [x, nc] : fresh) {
+              offloads::HashGetHarness* f =
+                  F[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
+                      .get();
+              if (nc) f->RearmTransportClientHalf();
+              f->PrepostResponseRecvs(kDetourArms + 4);
+              chains[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)]
+                  ->Rearm();
+            }
+            Tenant& T = tenants[static_cast<std::size_t>(t)];
+            --T.healing;
+            if (T.waiting && T.target == s) {
+              // The pending op died in the reset's flush — re-send it (its
+              // latency keeps accruing from the original t_sent; send_fn
+              // respects the dead flags, so a re-syncing s is avoided).
+              ++T.heal_resends;
+              send_fn(t);
+            } else if (!T.waiting && T.remaining > 0 && T.started) {
+              // The tenant parked because both replicas looked dead.
+              send_fn(t);
+            }
+          });
+        });
+      });
     }
   };
 
@@ -1336,19 +1229,13 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     dirty[static_cast<std::size_t>(s)] = 0;
     note_window(ei, down_at);
     for (int t = 0; t < cfg.tenants; ++t) {
-      if (place[static_cast<std::size_t>(t)] != cfg.service_shard) {
-        // The routing flag and resume belong to the tenant's domain.
-        sim.SendTo(place[static_cast<std::size_t>(t)], sim.now() + hop,
-                   [&, t, s] {
-          Tenant& T = tenants[static_cast<std::size_t>(t)];
-          T.dead[static_cast<std::size_t>(s)] = 0;
-          if (!T.waiting && T.remaining > 0 && T.started) send_fn(t);
-        });
-        continue;
-      }
-      Tenant& T = tenants[static_cast<std::size_t>(t)];
-      T.dead[static_cast<std::size_t>(s)] = 0;
-      if (!T.waiting && T.remaining > 0 && T.started) send_fn(t);
+      // The routing flag and resume belong to the tenant's domain.
+      sim.SendTo(place[static_cast<std::size_t>(t)], sim.now() + hop,
+                 [&, t, s] {
+        Tenant& T = tenants[static_cast<std::size_t>(t)];
+        T.dead[static_cast<std::size_t>(s)] = 0;
+        if (!T.waiting && T.remaining > 0 && T.started) send_fn(t);
+      });
     }
   };
 

@@ -73,6 +73,41 @@ TEST_F(OffloadTest, HashGetSecondBucketParallel) {
   EXPECT_TRUE(h.ResponseMatchesPattern(77, 64));
 }
 
+// A key whose two candidate buckets coincide (H1 == H2) matches on both
+// probes of a 2-bucket get. It must still be answered exactly once: an
+// extra response would be read by the next get as its value.
+TEST(OffloadSameBucket, AnsweredOnceAndNextGetReadsItsOwnValue) {
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "sequential");
+    TestBed bed;
+    HashGetHarness h(bed.client, bed.server,
+                     {.buckets = 2, .parallel = parallel});
+    std::uint64_t same = 1;
+    while (h.table().BucketAddr1(same) != h.table().BucketAddr2(same)) {
+      ++same;
+    }
+    const std::uint64_t other = same + 1;
+    ASSERT_NE(h.table().BucketAddr1(other), h.table().BucketAddr2(other));
+    h.PutPattern(same, 64);
+    h.PutPattern(other, 128);
+    h.Arm(4);
+
+    const auto r1 = h.Get(same);
+    ASSERT_TRUE(r1.found);
+    EXPECT_EQ(r1.len, 64u);
+    EXPECT_TRUE(h.ResponseMatchesPattern(same, 64));
+    // Let any second response land, then check none did.
+    bed.sim.RunUntil(bed.sim.now() + sim::Micros(50));
+    rnic::Cqe extra;
+    EXPECT_EQ(bed.client.PollCq(h.client_recv_cq(), 1, &extra), 0);
+
+    const auto r2 = h.Get(other);
+    ASSERT_TRUE(r2.found);
+    EXPECT_EQ(r2.len, 128u);
+    EXPECT_TRUE(h.ResponseMatchesPattern(other, 128));
+  }
+}
+
 TEST_F(OffloadTest, HashGetParallelFasterThanSequentialOnCollision) {
   // Fig 11: with the key always in the second bucket, parallel probing
   // hides the second lookup almost entirely; sequential pays ~3 us extra.

@@ -360,8 +360,8 @@ sim::TransportConfig SplitConfig() {
   return cfg;
 }
 
-// Raw protocol endpoints on two shards; the transport is homed on shard 0,
-// so the a->b flow runs the split sender/receiver-half protocol.
+// Raw protocol endpoints on two shards, so the a->b flow's sender and
+// receiver halves run on different domains.
 struct SplitFlowBed {
   explicit SplitFlowBed(int shards, const sim::TransportConfig& cfg)
       : ssim(shards),
