@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: build Release + Debug, run the test suite in both, run
 # bench_simcore + bench_scale_fanout (Release) and enforce perf floors, then
-# diff all 15 paper fig/table benches against committed golden stdout so
-# semantic regressions (timing, ordering, completion counting) fail loudly
-# instead of rotting silently.
+# diff all 15 paper fig/table benches and the simulated fields of the 5
+# scale benches against committed goldens so semantic regressions (timing,
+# ordering, completion counting) fail loudly instead of rotting silently.
 #
 # An ASan+UBSan Debug build then re-runs the whole ctest suite — the
 # slab/inline-callback fast paths are exactly the code sanitizers exist
@@ -371,6 +371,22 @@ for b in bench_fig7_verb_latency bench_fig8_ordering bench_fig10_hash_lookup \
     fail=1
   else
     echo "OK:   ${b} matches golden"
+  fi
+done
+
+# The scale benches' `--quick` JSON records are pinned the same way, minus
+# `events_per_sec`: it divides by host wall time, and it is the only field
+# that varies between runs of one build. Every other field is simulated.
+echo "=== scale bench simulated-output diffs ==="
+for b in bench_scale_lossy bench_scale_recovery bench_scale_failover \
+         bench_scale_netfabric bench_scale_fanout; do
+  if ! ./build-release/"${b}" --quick | grep '^JSON ' \
+       | sed -E 's/,"events_per_sec":[0-9.]+//' \
+       | diff -u "tests/golden/${b}.quick.golden" - ; then
+    echo "FAIL: ${b} --quick simulated output diverged from tests/golden/${b}.quick.golden" >&2
+    fail=1
+  else
+    echo "OK:   ${b} --quick matches golden"
   fi
 done
 

@@ -18,7 +18,7 @@ OneSidedKvClient::OneSidedKvClient(rnic::RnicDevice& cdev,
   c.recv_cq = cdev_.CreateCq();
   qp_ = cdev_.CreateQp(c);
   rnic::Connect(qp_, srv, cdev_.cal().net_one_way);
-  buf_ = std::make_unique<std::byte[]>(kScratch + max_value);
+  buf_ = rnic::MakeZeroed<std::byte>(kScratch + max_value);
   mr_ = cdev_.pd().Register(buf_.get(), kScratch + max_value, rnic::kAccessAll);
 }
 

@@ -53,7 +53,7 @@ class OneSidedKvClient {
   std::uint32_t heap_rkey_ = 0;  // values live in the heap region
   BaselineCalibration cal_;
   rnic::QueuePair* qp_ = nullptr;
-  std::unique_ptr<std::byte[]> buf_;
+  rnic::ZeroedArray<std::byte> buf_;
   rnic::MemoryRegion mr_;
 };
 

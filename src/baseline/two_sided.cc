@@ -20,7 +20,7 @@ rnic::QueuePair* TwoSidedKvServer::AddClient() {
   cfg.send_cq = dev_.CreateCq();
   cfg.recv_cq = dev_.CreateCq();
   ctx->qp = dev_.CreateQp(cfg);
-  ctx->req_bufs = std::make_unique<std::byte[]>(kRecvRing * kRequestBytes);
+  ctx->req_bufs = rnic::MakeZeroed<std::byte>(kRecvRing * kRequestBytes);
   ctx->req_mr = dev_.pd().Register(ctx->req_bufs.get(),
                                    kRecvRing * kRequestBytes, rnic::kAccessAll);
   ClientCtx* raw = ctx.get();
@@ -144,7 +144,7 @@ TwoSidedKvClient::TwoSidedKvClient(rnic::RnicDevice& cdev,
   cfg.recv_cq = cdev_.CreateCq();
   qp_ = cdev_.CreateQp(cfg);
   rnic::Connect(qp_, srv_qp, cdev_.cal().net_one_way);
-  bufs_ = std::make_unique<std::byte[]>(kRequestBytes + max_value);
+  bufs_ = rnic::MakeZeroed<std::byte>(kRequestBytes + max_value);
   mr_ = cdev_.pd().Register(bufs_.get(), kRequestBytes + max_value,
                             rnic::kAccessAll);
   qp_->recv_cq->SetHostNotify([this] { OnResponse(); });

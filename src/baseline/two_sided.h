@@ -67,7 +67,7 @@ class TwoSidedKvServer {
  private:
   struct ClientCtx {
     rnic::QueuePair* qp;
-    std::unique_ptr<std::byte[]> req_bufs;  // ring of request buffers
+    rnic::ZeroedArray<std::byte> req_bufs;  // ring of request buffers
     rnic::MemoryRegion req_mr;
     int next_slot = 0;
   };
@@ -134,7 +134,7 @@ class TwoSidedKvClient {
   };
 
   rnic::QueuePair* qp_ = nullptr;
-  std::unique_ptr<std::byte[]> bufs_;  // [request 32B][response max_value]
+  rnic::ZeroedArray<std::byte> bufs_;  // [request 32B][response max_value]
   rnic::MemoryRegion mr_;
   std::unordered_map<std::uint32_t, Pending> pending_;
   std::uint32_t next_seq_ = 1;

@@ -1,7 +1,6 @@
 #include "kv/resync.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "kv/table.h"
@@ -37,8 +36,7 @@ ResyncSession::ResyncSession(sim::Simulator& sim, Config cfg,
   }
   const std::size_t bytes =
       static_cast<std::size_t>(cfg_.window) * slot_bytes_;
-  staging_ = std::make_unique<std::byte[]>(bytes);
-  std::memset(staging_.get(), 0, bytes);
+  staging_ = rnic::MakeZeroed<std::byte>(bytes);
   staging_mr_ =
       cfg_.qp->device->pd().Register(staging_.get(), bytes, rnic::kAccessAll);
   slot_item_.assign(static_cast<std::size_t>(cfg_.window), 0);

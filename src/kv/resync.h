@@ -85,7 +85,7 @@ class ResyncSession {
 
   // Staging: `window` slots of max item length each, registered on the
   // resyncing shard's device so READ responses can land in them.
-  std::unique_ptr<std::byte[]> staging_;
+  rnic::ZeroedArray<std::byte> staging_;
   rnic::MemoryRegion staging_mr_;
   std::uint32_t slot_bytes_ = 0;
   std::vector<int> free_slots_;

@@ -45,9 +45,8 @@ bool VersionedValueIntact(std::uint64_t addr, std::uint32_t len,
 }
 
 ValueHeap::ValueHeap(rnic::RnicDevice& dev, std::size_t capacity_bytes)
-    : mem_(std::make_unique<std::byte[]>(capacity_bytes)),
+    : mem_(rnic::MakeZeroed<std::byte>(capacity_bytes)),
       capacity_(capacity_bytes) {
-  std::memset(mem_.get(), 0, capacity_bytes);
   mr_ = dev.pd().Register(mem_.get(), capacity_bytes, rnic::kAccessAll);
 }
 
@@ -58,7 +57,8 @@ std::uint64_t ValueHeap::Store(const void* data, std::uint32_t len) {
 }
 
 std::uint64_t ValueHeap::Reserve(std::uint32_t len) {
-  const std::size_t aligned = (len + 7u) & ~std::size_t{7};
+  // Widen before rounding up: in 32 bits a length near 4 GiB wraps to 0.
+  const std::size_t aligned = (std::size_t{len} + 7) & ~std::size_t{7};
   if (used_ + aligned > capacity_) {
     throw std::bad_alloc();
   }
@@ -69,8 +69,7 @@ std::uint64_t ValueHeap::Reserve(std::uint32_t len) {
 
 RdmaHashTable::RdmaHashTable(rnic::RnicDevice& dev, Config cfg) : cfg_(cfg) {
   const std::size_t bytes = cfg_.buckets * kBucketSize;
-  mem_ = std::make_unique<std::byte[]>(bytes);
-  std::memset(mem_.get(), 0, bytes);
+  mem_ = rnic::MakeZeroed<std::byte>(bytes);
   mr_ = dev.pd().Register(mem_.get(), bytes, rnic::kAccessAll);
 }
 

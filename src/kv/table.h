@@ -85,7 +85,7 @@ class ValueHeap {
   void Clear() { used_ = 0; }
 
  private:
-  std::unique_ptr<std::byte[]> mem_;
+  rnic::ZeroedArray<std::byte> mem_;
   std::size_t capacity_;
   std::size_t used_ = 0;
   rnic::MemoryRegion mr_;
@@ -134,6 +134,7 @@ class RdmaHashTable {
 
   std::uint32_t rkey() const { return mr_.rkey; }
   std::uint32_t lkey() const { return mr_.lkey; }
+  std::uint64_t base() const { return mr_.addr; }  // first bucket
   std::size_t size() const { return count_; }
   std::size_t buckets() const { return cfg_.buckets; }
 
@@ -148,7 +149,7 @@ class RdmaHashTable {
                 std::uint32_t len);
 
   Config cfg_;
-  std::unique_ptr<std::byte[]> mem_;
+  rnic::ZeroedArray<std::byte> mem_;
   rnic::MemoryRegion mr_;
   std::size_t count_ = 0;
 };

@@ -13,7 +13,7 @@ using rnic::WqeField;
 SearchArray::SearchArray(rnic::RnicDevice& dev,
                          std::vector<std::uint64_t> values)
     : n_(values.size()) {
-  data_ = std::make_unique<std::uint64_t[]>(n_);
+  data_ = rnic::MakeZeroed<std::uint64_t>(n_);
   for (std::size_t i = 0; i < n_; ++i) data_[i] = values[i] & rnic::kWrIdMask;
   mr_ = dev.pd().Register(data_.get(), n_ * 8, rnic::kAccessAll);
 }
@@ -29,10 +29,10 @@ ArraySearchOffload::ArraySearchOffload(rnic::RnicDevice& server,
   chain_ = prog_.NewChainQueue(static_cast<std::uint32_t>(4 * n_ + 16));
   const std::uint64_t resp_base = client_qp->send_cq->hw_count();
 
-  index_consts_ = std::make_unique<std::uint64_t[]>(n_);
+  index_consts_ = rnic::MakeZeroed<std::uint64_t>(n_);
   for (int i = 0; i < n_; ++i) index_consts_[i] = static_cast<std::uint64_t>(i);
   idx_mr_ = server.pd().Register(index_consts_.get(), n_ * 8, rnic::kAccessAll);
-  tmpl_ = std::make_unique<std::byte[]>(std::size_t(n_) * 24);
+  tmpl_ = rnic::MakeZeroed<std::byte>(std::size_t(n_) * 24);
   tmpl_mr_ = server.pd().Register(tmpl_.get(), std::size_t(n_) * 24,
                                   rnic::kAccessAll);
 

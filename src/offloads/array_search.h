@@ -35,7 +35,7 @@ class SearchArray {
   void Set(int i, std::uint64_t v) { rnic::dma::WriteU64(ElementAddr(i), v); }
 
  private:
-  std::unique_ptr<std::uint64_t[]> data_;
+  rnic::ZeroedArray<std::uint64_t> data_;
   std::size_t n_;
   rnic::MemoryRegion mr_;
 };
@@ -64,9 +64,9 @@ class ArraySearchOffload {
   Program prog_;
   QueuePair* chain_;
   int n_;
-  std::unique_ptr<std::uint64_t[]> index_consts_;  // payloads: 0,1,2,...
+  rnic::ZeroedArray<std::uint64_t> index_consts_;  // payloads: 0,1,2,...
   rnic::MemoryRegion idx_mr_;
-  std::unique_ptr<std::byte[]> tmpl_;  // break-variant header templates
+  rnic::ZeroedArray<std::byte> tmpl_;  // break-variant header templates
   rnic::MemoryRegion tmpl_mr_;
   int wrs_posted_ = 0;
 };

@@ -21,7 +21,7 @@ ClientFailoverChain::ClientFailoverChain(HashGetHarness& primary,
         "ClientFailoverChain: backup client SQ must be managed "
         "(set HashGetOffload::Config::managed_client_sq)");
   }
-  trig_buf_ = std::make_unique<std::byte[]>(64);
+  trig_buf_ = rnic::MakeZeroed<std::byte>(64);
   trig_mr_ = primary.client_dev().pd().Register(trig_buf_.get(), 64,
                                                 rnic::kAccessAll);
 }

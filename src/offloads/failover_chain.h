@@ -66,7 +66,7 @@ class ClientFailoverChain {
   HashGetHarness& primary_;
   HashGetHarness& backup_;
   core::Program prog_;
-  std::unique_ptr<std::byte[]> trig_buf_;
+  rnic::ZeroedArray<std::byte> trig_buf_;
   rnic::MemoryRegion trig_mr_;
   int arms_ = 0;
   std::uint64_t wait_threshold_ = 0;

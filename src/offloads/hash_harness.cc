@@ -66,9 +66,9 @@ void HashGetHarness::Init(std::size_t max_value) {
   make_pair(srv_qp1_, cli_qp1_);
   if (cfg_.parallel) make_pair(srv_qp2_, cli_qp2_);
 
-  resp_buf_ = std::make_unique<std::byte[]>(max_value);
+  resp_buf_ = rnic::MakeZeroed<std::byte>(max_value);
   resp_mr_ = cdev_.pd().Register(resp_buf_.get(), max_value, rnic::kAccessAll);
-  msg_buf_ = std::make_unique<std::byte[]>(64);
+  msg_buf_ = rnic::MakeZeroed<std::byte>(64);
   msg_mr_ = cdev_.pd().Register(msg_buf_.get(), 64, rnic::kAccessAll);
 
   offload_ = std::make_unique<HashGetOffload>(sdev_, *table_, *heap_, srv_qp1_,

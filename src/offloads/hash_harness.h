@@ -136,9 +136,9 @@ class HashGetHarness {
   rnic::QueuePair* cli_qp2_ = nullptr;
   rnic::CompletionQueue* cli_recv_cq_ = nullptr;  // shared by both client QPs
 
-  std::unique_ptr<std::byte[]> resp_buf_;
+  rnic::ZeroedArray<std::byte> resp_buf_;
   rnic::MemoryRegion resp_mr_;
-  std::unique_ptr<std::byte[]> msg_buf_;
+  rnic::ZeroedArray<std::byte> msg_buf_;
   rnic::MemoryRegion msg_mr_;
 
   std::unique_ptr<HashGetOffload> offload_;

@@ -14,8 +14,7 @@ ListStore::ListStore(rnic::RnicDevice& dev, std::size_t max_nodes,
                      std::uint32_t value_len)
     : value_len_(value_len), max_nodes_(max_nodes) {
   const std::size_t bytes = max_nodes * node_bytes();
-  mem_ = std::make_unique<std::byte[]>(bytes);
-  std::memset(mem_.get(), 0, bytes);
+  mem_ = rnic::MakeZeroed<std::byte>(bytes);
   mr_ = dev.pd().Register(mem_.get(), bytes, rnic::kAccessAll);
 }
 
@@ -60,8 +59,7 @@ ListTraversalOffload::ListTraversalOffload(rnic::RnicDevice& server,
 
   // Scratch layout: [xbuf 8B][sink 8B][staging n*vlen][templates n*24B].
   const std::size_t scratch_bytes = 16 + std::size_t(n) * vlen + n * 24;
-  scratch_ = std::make_unique<std::byte[]>(scratch_bytes);
-  std::memset(scratch_.get(), 0, scratch_bytes);
+  scratch_ = rnic::MakeZeroed<std::byte>(scratch_bytes);
   scratch_mr_ =
       server.pd().Register(scratch_.get(), scratch_bytes, rnic::kAccessAll);
   const std::uint64_t xbuf = scratch_mr_.addr;

@@ -56,7 +56,7 @@ class ListStore {
   }
 
  private:
-  std::unique_ptr<std::byte[]> mem_;
+  rnic::ZeroedArray<std::byte> mem_;
   rnic::MemoryRegion mr_;
   std::uint32_t value_len_;
   std::size_t max_nodes_;
@@ -95,7 +95,7 @@ class ListTraversalOffload {
   Program prog_;
   QueuePair* chain_;
   int iterations_ = 0;
-  std::unique_ptr<std::byte[]> scratch_;  // xbuf, staging, templates, sink
+  rnic::ZeroedArray<std::byte> scratch_;  // xbuf, staging, templates, sink
   rnic::MemoryRegion scratch_mr_;
   int wrs_posted_ = 0;
 };

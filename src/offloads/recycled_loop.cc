@@ -26,8 +26,7 @@ RecycledAddLoop::RecycledAddLoop(rnic::RnicDevice& dev, int body_wrs)
     : dev_(dev), prog_(dev), body_wrs_(body_wrs) {
   body_ = prog_.NewChainQueue(/*depth=*/static_cast<std::uint32_t>(body_wrs));
   ring_ = prog_.NewPlainQueue(/*depth=*/kRing);
-  counter_ = std::make_unique<std::uint64_t[]>(1);
-  counter_[0] = 0;
+  counter_ = rnic::MakeZeroed<std::uint64_t>(1);
   counter_mr_ = dev_.pd().Register(counter_.get(), 8, rnic::kAccessAll);
   counter_addr_ = counter_mr_.addr;
 }

@@ -52,7 +52,7 @@ class RecycledAddLoop {
   rnic::QueuePair* body_ = nullptr;
   rnic::QueuePair* ring_ = nullptr;
   int body_wrs_ = 1;
-  std::unique_ptr<std::uint64_t[]> counter_;
+  rnic::ZeroedArray<std::uint64_t> counter_;
   rnic::MemoryRegion counter_mr_;
   std::uint64_t counter_addr_ = 0;
   bool started_ = false;

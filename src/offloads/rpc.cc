@@ -15,7 +15,7 @@ EchoRpcOffload::EchoRpcOffload(rnic::RnicDevice& server, QueuePair* client_qp,
                                std::uint64_t resp_addr, std::uint32_t resp_rkey)
     : prog_(server, 0, /*control_depth=*/4u * n + 64) {
   assert(client_qp->sq.managed());
-  bufs_ = std::make_unique<std::byte[]>(std::size_t(n) * msg_bytes);
+  bufs_ = rnic::MakeZeroed<std::byte>(std::size_t(n) * msg_bytes);
   mr_ = server.pd().Register(bufs_.get(), std::size_t(n) * msg_bytes,
                              rnic::kAccessAll);
 
@@ -59,8 +59,7 @@ CondRpcOffload::CondRpcOffload(rnic::RnicDevice& server, QueuePair* client_qp,
   assert(client_qp->sq.managed());
   chain_ = prog_.NewChainQueue(2u * n + 16);
   // Per request: one answer word (starts 0); plus one shared constant 1.
-  bufs_ = std::make_unique<std::byte[]>(std::size_t(n) * 8 + 8);
-  std::memset(bufs_.get(), 0, std::size_t(n) * 8 + 8);
+  bufs_ = rnic::MakeZeroed<std::byte>(std::size_t(n) * 8 + 8);
   mr_ = server.pd().Register(bufs_.get(), std::size_t(n) * 8 + 8,
                              rnic::kAccessAll);
   const std::uint64_t one_addr = mr_.addr + std::uint64_t(n) * 8;

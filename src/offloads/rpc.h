@@ -31,7 +31,7 @@ class EchoRpcOffload {
 
  private:
   Program prog_;
-  std::unique_ptr<std::byte[]> bufs_;
+  rnic::ZeroedArray<std::byte> bufs_;
   rnic::MemoryRegion mr_;
 };
 
@@ -48,7 +48,7 @@ class CondRpcOffload {
  private:
   Program prog_;
   QueuePair* chain_;
-  std::unique_ptr<std::byte[]> bufs_;  // per-request answer word + constant 1
+  rnic::ZeroedArray<std::byte> bufs_;  // per-request answer word + constant 1
   rnic::MemoryRegion mr_;
 };
 

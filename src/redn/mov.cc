@@ -10,8 +10,7 @@ namespace redn::core {
 MovMachine::MovMachine(rnic::RnicDevice& dev, int registers, std::size_t cells)
     : dev_(dev), prog_(dev), n_regs_(registers) {
   arena_words_ = static_cast<std::size_t>(registers) + cells;
-  arena_ = std::make_unique<std::uint64_t[]>(arena_words_);
-  for (std::size_t i = 0; i < arena_words_; ++i) arena_[i] = 0;
+  arena_ = rnic::MakeZeroed<std::uint64_t>(arena_words_);
   arena_mr_ = dev_.pd().Register(arena_.get(), arena_words_ * 8,
                                  rnic::kAccessAll);
   arena_used_ = registers;  // registers occupy the front of the arena

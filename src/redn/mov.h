@@ -83,7 +83,7 @@ class MovMachine {
   rnic::RnicDevice& dev_;
   Program prog_;
   QueuePair* chain_;  // managed queue holding the patched WRITE/ADD WQEs
-  std::unique_ptr<std::uint64_t[]> arena_;
+  rnic::ZeroedArray<std::uint64_t> arena_;
   std::size_t arena_words_;
   std::size_t arena_used_ = 0;  // allocation cursor (words)
   int n_regs_;

@@ -97,8 +97,8 @@ struct QueuePair {
   // Last MR resolved for remote (rkey) accesses landing on this QP.
   MrCacheEntry remote_mr_cache;
 
-  std::unique_ptr<std::byte[]> sq_buf;
-  std::unique_ptr<std::byte[]> rq_buf;
+  ZeroedArray<std::byte> sq_buf;
+  ZeroedArray<std::byte> rq_buf;
   MemoryRegion sq_mr;  // the registered "code region" (self-modification)
   MemoryRegion rq_mr;
 

@@ -8,12 +8,63 @@
 // like any other memory.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 namespace redn::rnic {
+
+// --- Zeroed simulated memory -------------------------------------------------
+// Every buffer the simulated NIC can address starts as zero bytes: value
+// heaps, hash tables, WQ rings, staging areas, and the per-slot work-queue
+// state that shadows the rings. All of them come from calloc, so they are
+// paid for on touch: a large request is served by fresh anonymous pages the
+// kernel already zeroed (a 256 MiB heap costs neither time nor RSS until a
+// store lands in it), and a small one is zeroed in the malloc arena. It is
+// the only path — no size-based mmap fork of our own — which also keeps the
+// sanitizers honest: ASan intercepts calloc, so these buffers keep their
+// redzones.
+struct FreeDeleter {
+  void operator()(void* p) const noexcept { std::free(p); }
+};
+
+template <class T>
+using ZeroedArray = std::unique_ptr<T[], FreeDeleter>;
+
+// True iff T{} is the all-zero byte pattern, i.e. calloc'd storage already
+// holds value-initialised T objects. Requires a padding-free type, so the
+// constant-evaluated bit_cast sees every byte.
+template <class T>
+constexpr bool ZeroBytesAreValueInit() {
+  const auto bytes = std::bit_cast<std::array<unsigned char, sizeof(T)>>(T{});
+  for (unsigned char b : bytes) {
+    if (b != 0) return false;
+  }
+  return true;
+}
+
+// `n` value-initialised T, zeroed by calloc rather than by a loop. The
+// storage holds implicit-lifetime objects (C++20), so no constructor runs.
+template <class T>
+ZeroedArray<T> MakeZeroed(std::size_t n) {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T> &&
+                    std::has_unique_object_representations_v<T> &&
+                    ZeroBytesAreValueInit<T>(),
+                "MakeZeroed needs a trivial, padding-free T whose all-zero "
+                "bytes equal T{}");
+  // n == 0 still yields a distinct live pointer, like new T[0].
+  void* p = std::calloc(n == 0 ? 1 : n, sizeof(T));
+  if (p == nullptr) throw std::bad_alloc();
+  return ZeroedArray<T>(static_cast<T*>(p));
+}
 
 // Access rights for a memory region (bitmask).
 enum Access : std::uint32_t {

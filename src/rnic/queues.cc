@@ -73,9 +73,9 @@ void WorkQueue::Init(QueuePair* qp, bool is_send, std::byte* slots,
   managed_ = managed;
   cq_ = cq;
   pu_index_ = pu_index;
-  images_.assign(capacity, WqeImage{});
-  decoded_.assign(capacity, 0);
-  plans_.assign(capacity, SgePlan{});
+  images_ = MakeZeroed<WqeImage>(capacity);
+  decoded_ = MakeZeroed<std::uint8_t>(capacity);
+  plans_ = MakeZeroed<SgePlan>(capacity);
 }
 
 }  // namespace redn::rnic

@@ -280,9 +280,10 @@ class WorkQueue {
   bool managed_ = false;
   CompletionQueue* cq_ = nullptr;
   int pu_index_ = 0;
-  std::vector<WqeImage> images_;
-  std::vector<std::uint8_t> decoded_;  // translation-cache candidate flags
-  std::vector<SgePlan> plans_;         // per-slot validated SGE resolutions
+  // Per-slot state, one entry per ring slot (zeroed like the ring itself).
+  ZeroedArray<WqeImage> images_;
+  ZeroedArray<std::uint8_t> decoded_;  // translation-cache candidate flags
+  ZeroedArray<SgePlan> plans_;         // per-slot validated SGE resolutions
 };
 
 }  // namespace redn::rnic

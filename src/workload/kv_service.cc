@@ -328,11 +328,11 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     rnic::QueuePair* req_srv = nullptr;
     rnic::QueuePair* ack_srv = nullptr;  // shard-side requester
     rnic::QueuePair* ack_cli = nullptr;
-    std::unique_ptr<std::byte[]> req_rx;  // shard: kPutSlots x value_len
+    rnic::ZeroedArray<std::byte> req_rx;  // shard: kPutSlots x value_len
     rnic::MemoryRegion req_rx_mr;
-    std::unique_ptr<std::byte[]> ack_tx;  // shard: kPutSlots x kAckBytes
+    rnic::ZeroedArray<std::byte> ack_tx;  // shard: kPutSlots x kAckBytes
     rnic::MemoryRegion ack_tx_mr;
-    std::unique_ptr<std::byte[]> ack_rx;  // tenant: kPutSlots x kAckBytes
+    rnic::ZeroedArray<std::byte> ack_rx;  // tenant: kPutSlots x kAckBytes
     rnic::MemoryRegion ack_rx_mr;
     std::uint64_t ack_seq = 0;
   };
@@ -350,7 +350,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   };
   std::vector<std::vector<PutLink>> plinks;
   std::vector<Edge> edges;
-  std::vector<std::unique_ptr<std::byte[]>> ptx;  // per-tenant request buffer
+  std::vector<rnic::ZeroedArray<std::byte>> ptx;  // per-tenant request buffer
   std::vector<rnic::MemoryRegion> ptx_mr;
   auto post_req_slot = [&](PutLink& L, int slot) {
     verbs::RecvWr r;
@@ -374,7 +374,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
     plinks.resize(static_cast<std::size_t>(cfg.tenants));
     for (int t = 0; t < cfg.tenants; ++t) {
       auto& td = *tdev[static_cast<std::size_t>(t)];
-      ptx.push_back(std::make_unique<std::byte[]>(cfg.value_len));
+      ptx.push_back(rnic::MakeZeroed<std::byte>(cfg.value_len));
       ptx_mr.push_back(
           td.pd().Register(ptx.back().get(), cfg.value_len, rnic::kAccessAll));
       plinks[static_cast<std::size_t>(t)].resize(
@@ -394,7 +394,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
         rc.recv_cq = td.CreateCq();
         L.req_cli = td.CreateQp(rc);
         rnic::ConnectOverTransport(L.req_cli, L.req_srv, transport);
-        L.req_rx = std::make_unique<std::byte[]>(
+        L.req_rx = rnic::MakeZeroed<std::byte>(
             static_cast<std::size_t>(kPutSlots) * cfg.value_len);
         L.req_rx_mr = sd.pd().Register(
             L.req_rx.get(), static_cast<std::size_t>(kPutSlots) * cfg.value_len,
@@ -410,12 +410,12 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
         ac.recv_cq = td.CreateCq();
         L.ack_cli = td.CreateQp(ac);
         rnic::ConnectOverTransport(L.ack_srv, L.ack_cli, transport);
-        L.ack_tx = std::make_unique<std::byte[]>(
+        L.ack_tx = rnic::MakeZeroed<std::byte>(
             static_cast<std::size_t>(kPutSlots) * kAckBytes);
         L.ack_tx_mr = sd.pd().Register(
             L.ack_tx.get(), static_cast<std::size_t>(kPutSlots) * kAckBytes,
             rnic::kAccessAll);
-        L.ack_rx = std::make_unique<std::byte[]>(
+        L.ack_rx = rnic::MakeZeroed<std::byte>(
             static_cast<std::size_t>(kPutSlots) * kAckBytes);
         L.ack_rx_mr = td.pd().Register(
             L.ack_rx.get(), static_cast<std::size_t>(kPutSlots) * kAckBytes,

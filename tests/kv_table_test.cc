@@ -133,6 +133,17 @@ TEST_F(TableTest, ValueHeapThrowsWhenFull) {
   EXPECT_THROW(heap.Reserve(8), std::bad_alloc);
 }
 
+// A length near 4 GiB must not wrap to a tiny aligned size when rounded up
+// to 8 bytes: that would pass the capacity check and let Store copy gigabytes
+// past the slot.
+TEST_F(TableTest, ValueHeapReserveRejectsLengthThatWouldWrap) {
+  ValueHeap heap(bed.server, 64);
+  EXPECT_THROW(heap.Reserve(0xFFFFFFFFu), std::bad_alloc);
+  EXPECT_THROW(heap.Reserve(0xFFFFFFF9u), std::bad_alloc);
+  EXPECT_EQ(heap.used(), 0u);
+  EXPECT_NO_THROW(heap.Reserve(64));
+}
+
 TEST_F(TableTest, NeighborhoodCoversConfiguredBuckets) {
   RdmaHashTable t(bed.server, {.buckets = 1024, .neighborhood = 6});
   EXPECT_EQ(t.NeighborhoodBytes(), 6 * kv::kBucketSize);

@@ -1,10 +1,15 @@
-// Unit tests for protection domains, memory regions, and key checks.
+// Unit tests for protection domains, memory regions, key checks, and the
+// zeroed simulated-memory allocations.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 
+#include "kv/table.h"
+#include "rnic/device.h"
 #include "rnic/memory.h"
+#include "sim/simulator.h"
 
 namespace redn::rnic {
 namespace {
@@ -174,6 +179,91 @@ TEST(Dma, CopyHandlesOverlap) {
   dma::Copy(dma::AddrOf(data + 2), dma::AddrOf(data), 8);
   EXPECT_EQ(data[2], 'a');
   EXPECT_EQ(data[9], 'h');
+}
+
+// --- Zeroed storage ----------------------------------------------------------
+
+bool AllZero(const void* p, std::size_t n) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (b[i] != 0) return false;
+  }
+  return true;
+}
+
+bool AllZero(std::uint64_t addr, std::size_t n) {
+  return AllZero(reinterpret_cast<const void*>(addr), n);
+}
+
+// Zero elements still yields a live, distinct pointer, like new T[0].
+TEST(ZeroedStorage, ZeroElementsStillAllocates) {
+  ZeroedArray<WqeImage> a = MakeZeroed<WqeImage>(0);
+  ZeroedArray<WqeImage> b = MakeZeroed<WqeImage>(0);
+  EXPECT_NE(a.get(), nullptr);
+  EXPECT_NE(a.get(), b.get());
+}
+
+// The registered memory a workload builds — value heap, hash table, a QP's
+// SQ/RQ rings — and the per-slot WorkQueue state shadowing the rings read
+// zero when created, including when they reuse the memory of same-sized
+// predecessors that were filled with non-zero bytes and destroyed (the
+// warm path of a second build in one process). Each case runs three rounds:
+// the small one reuses malloc-arena chunks; the large one starts on fresh
+// mappings and, once freeing a mapping has raised glibc's mmap threshold,
+// reuses arena memory too.
+TEST(ZeroedStorage, HeapTableRingsAndQueueStateZeroOnFirstUseAndOnReuse) {
+  struct Case {
+    std::size_t heap_bytes;
+    std::size_t buckets;
+    std::uint32_t depth;
+  };
+  // The first case is small enough to come from the malloc arena.
+  for (const Case& c : {Case{4096, 64, 8}, Case{4 << 20, 1 << 16, 1024}}) {
+    const std::size_t table_bytes = c.buckets * kv::kBucketSize;
+    const std::size_t ring_bytes = std::size_t{c.depth} * kWqeSize;
+    for (int round = 0; round < 3; ++round) {
+      SCOPED_TRACE(testing::Message() << "heap " << c.heap_bytes << ", round "
+                                      << round);
+      sim::Simulator sim;
+      RnicDevice dev(sim, NicConfig::ConnectX5(), Calibration{}, "zeroed");
+      kv::ValueHeap heap(dev, c.heap_bytes);
+      kv::RdmaHashTable table(dev, {.buckets = c.buckets});
+      QpConfig q;
+      q.sq_depth = c.depth;
+      q.rq_depth = c.depth;
+      q.send_cq = dev.CreateCq();
+      q.recv_cq = dev.CreateCq();
+      QueuePair* qp = dev.CreateQp(q);
+
+      EXPECT_TRUE(AllZero(heap.base(), c.heap_bytes));
+      EXPECT_TRUE(AllZero(table.base(), table_bytes));
+      EXPECT_TRUE(AllZero(qp->sq_buf.get(), ring_bytes));
+      EXPECT_TRUE(AllZero(qp->rq_buf.get(), ring_bytes));
+      for (WorkQueue* wq : {&qp->sq, &qp->rq}) {
+        for (std::size_t s = 0; s < wq->capacity(); ++s) {
+          ASSERT_FALSE(wq->DecodedAtB(s)) << "slot " << s;
+          ASSERT_TRUE(AllZero(&wq->ImageAtB(s), sizeof(WqeImage)))
+              << "slot " << s;
+          ASSERT_TRUE(AllZero(&wq->PlanAt(s), sizeof(SgePlan))) << "slot " << s;
+        }
+      }
+
+      // Dirty everything before it is freed for the next round.
+      std::memset(reinterpret_cast<void*>(heap.base()), 0xa5, c.heap_bytes);
+      std::memset(reinterpret_cast<void*>(table.base()), 0xa5, table_bytes);
+      std::memset(qp->sq_buf.get(), 0xa5, ring_bytes);
+      std::memset(qp->rq_buf.get(), 0xa5, ring_bytes);
+      for (WorkQueue* wq : {&qp->sq, &qp->rq}) {
+        for (std::size_t s = 0; s < wq->capacity(); ++s) {
+          std::memset(static_cast<void*>(&wq->ImageAtB(s)), 0xa5,
+                      sizeof(WqeImage));
+          std::memset(static_cast<void*>(&wq->PlanAt(s)), 0xa5,
+                      sizeof(SgePlan));
+          wq->MarkDecodedAtB(s);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ using rnic::QpConfig;
 using rnic::RnicDevice;
 
 struct Buffer {
-  std::unique_ptr<std::byte[]> data;
+  rnic::ZeroedArray<std::byte> data;
   rnic::MemoryRegion mr;
 
   std::uint64_t addr() const { return rnic::dma::AddrOf(data.get()); }
@@ -50,8 +50,7 @@ class TestBed {
   Buffer Alloc(RnicDevice& dev, std::size_t size,
                std::uint32_t access = rnic::kAccessAll) {
     Buffer b;
-    b.data = std::make_unique<std::byte[]>(size);
-    std::memset(b.data.get(), 0, size);
+    b.data = rnic::MakeZeroed<std::byte>(size);
     b.mr = dev.pd().Register(b.data.get(), size, access);
     return b;
   }
