@@ -374,20 +374,24 @@ for b in bench_fig7_verb_latency bench_fig8_ordering bench_fig10_hash_lookup \
   fi
 done
 
-# The scale benches' `--quick` JSON records are pinned the same way, minus
-# `events_per_sec`: it divides by host wall time, and it is the only field
-# that varies between runs of one build. Every other field is simulated.
+# The scale benches' JSON records, `--quick` and default size, are pinned
+# the same way, minus `events_per_sec`: it divides by host wall time, and it
+# is the only field that varies between runs of one build. Every other
+# field is simulated.
 echo "=== scale bench simulated-output diffs ==="
 for b in bench_scale_lossy bench_scale_recovery bench_scale_failover \
          bench_scale_netfabric bench_scale_fanout; do
-  if ! ./build-release/"${b}" --quick | grep '^JSON ' \
-       | sed -E 's/,"events_per_sec":[0-9.]+//' \
-       | diff -u "tests/golden/${b}.quick.golden" - ; then
-    echo "FAIL: ${b} --quick simulated output diverged from tests/golden/${b}.quick.golden" >&2
-    fail=1
-  else
-    echo "OK:   ${b} --quick matches golden"
-  fi
+  for mode in --quick ""; do
+    golden="tests/golden/${b}${mode:+.quick}.golden"
+    if ! ./build-release/"${b}" ${mode} | grep '^JSON ' \
+         | sed -E 's/,"events_per_sec":[0-9.]+//' \
+         | diff -u "${golden}" - ; then
+      echo "FAIL: ${b} ${mode:-(default size)} simulated output diverged from ${golden}" >&2
+      fail=1
+    else
+      echo "OK:   ${b} ${mode:-(default size)} matches golden"
+    fi
+  done
 done
 
 exit "${fail}"

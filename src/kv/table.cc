@@ -186,4 +186,14 @@ std::uint64_t RdmaHashTable::BucketKeyAt(std::size_t index) const {
   return rnic::dma::ReadU64(SlotAddr(index) + kBucketKeyOff);
 }
 
+std::uint64_t PutPattern(RdmaHashTable& table, ValueHeap& heap,
+                         std::uint64_t key, std::uint32_t len,
+                         bool force_second) {
+  const std::uint64_t ptr = heap.Reserve(len);
+  auto* p = reinterpret_cast<std::uint8_t*>(ptr);
+  for (std::uint32_t i = 0; i < len; ++i) p[i] = PatternByte(key, i);
+  table.Insert(key, ptr, len, force_second);
+  return ptr;
+}
+
 }  // namespace redn::kv

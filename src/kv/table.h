@@ -39,6 +39,11 @@ inline constexpr std::uint64_t kKeyMask = (1ULL << 48) - 1;
 std::uint64_t Hash1(std::uint64_t key);
 std::uint64_t Hash2(std::uint64_t key);
 
+// Byte `i` of the plain value pattern for `key` (kv::PutPattern's layout).
+inline std::uint8_t PatternByte(std::uint64_t key, std::uint32_t i) {
+  return static_cast<std::uint8_t>((key + i) & 0xff);
+}
+
 // --- Versioned values -------------------------------------------------------
 // When the KV service runs a write path, every value starts with a u64
 // version tag (0 = seeded, +1 per applied put); payload bytes follow. The
@@ -153,5 +158,12 @@ class RdmaHashTable {
   rnic::MemoryRegion mr_;
   std::size_t count_ = 0;
 };
+
+// Reserves `len` bytes in `heap`, fills them in place with the PatternByte
+// layout for `key`, and inserts key -> value into `table` (`force_second`
+// as in Insert). Returns the value's address.
+std::uint64_t PutPattern(RdmaHashTable& table, ValueHeap& heap,
+                         std::uint64_t key, std::uint32_t len,
+                         bool force_second = false);
 
 }  // namespace redn::kv

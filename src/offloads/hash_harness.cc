@@ -83,17 +83,14 @@ void HashGetHarness::Put(std::uint64_t key, const void* value,
 
 void HashGetHarness::PutPattern(std::uint64_t key, std::uint32_t len,
                                 bool force_second) {
-  std::vector<std::byte> v(len);
-  for (std::uint32_t i = 0; i < len; ++i) {
-    v[i] = static_cast<std::byte>((key + i) & 0xff);
-  }
-  Put(key, v.data(), len, force_second);
+  kv::PutPattern(*table_, *heap_, key, len, force_second);
 }
 
 bool HashGetHarness::ResponseMatchesPattern(std::uint64_t key,
                                             std::uint32_t len) const {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(resp_buf_.get());
   for (std::uint32_t i = 0; i < len; ++i) {
-    if (resp_buf_[i] != static_cast<std::byte>((key + i) & 0xff)) return false;
+    if (p[i] != kv::PatternByte(key, i)) return false;
   }
   return true;
 }

@@ -36,7 +36,7 @@ class HashGetHarness {
   // (the Fig 11 collision setup).
   void Put(std::uint64_t key, const void* value, std::uint32_t len,
            bool force_second = false);
-  // Convenience: value = `len` bytes of a repeating pattern derived from key.
+  // Convenience: kv::PutPattern into this harness's table and heap.
   void PutPattern(std::uint64_t key, std::uint32_t len,
                   bool force_second = false);
 

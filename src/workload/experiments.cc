@@ -145,6 +145,16 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
                         rnic::NicConfig::ConnectX5(), {}, "server");
   sdev.AttachPort(0, fabric, {cfg.server_gbps, cfg.propagation});
 
+  // One store on the server, read by every client's offloaded gets (RedN
+  // §5). Declared before `clients` so it outlives every harness.
+  kv::RdmaHashTable table(sdev, kv::RdmaHashTable::Config{.buckets = 1 << 12});
+  const std::size_t heap_bytes =
+      static_cast<std::size_t>(cfg.keys + 1) * cfg.value_len + (64 << 10);
+  kv::ValueHeap heap(sdev, heap_bytes);
+  for (int k = 1; k <= cfg.keys; ++k) {
+    kv::PutPattern(table, heap, static_cast<std::uint64_t>(k), cfg.value_len);
+  }
+
   struct Client {
     std::unique_ptr<rnic::RnicDevice> dev;
     std::unique_ptr<offloads::HashGetHarness> harness;
@@ -160,8 +170,6 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
   };
   std::vector<Client> clients(static_cast<std::size_t>(cfg.clients));
 
-  const std::size_t heap_bytes =
-      static_cast<std::size_t>(cfg.keys + 1) * cfg.value_len + (64 << 10);
   for (int i = 0; i < cfg.clients; ++i) {
     Client& c = clients[static_cast<std::size_t>(i)];
     c.shard = cfg.placement.empty() ? i % cfg.shards
@@ -180,23 +188,18 @@ FabricScaleResult RunFabricScale(const FabricScaleConfig& cfg) {
                                          .max_requests = cfg.gets_per_client + 8,
                                          .fabric = &fabric,
                                          .transport = transport.get()},
-        kv::RdmaHashTable::Config{.buckets = 1 << 12}, heap_bytes,
-        /*max_value=*/cfg.value_len + 64);
-    for (int k = 1; k <= cfg.keys; ++k) {
-      c.harness->PutPattern(static_cast<std::uint64_t>(k), cfg.value_len);
-    }
+        table, heap, /*max_value=*/cfg.value_len + 64);
     c.harness->Arm(cfg.gets_per_client + 4);
     c.remaining = cfg.gets_per_client;
   }
 
   // Depth-1 closed loops starve forever on a miss, so draw only keys the
   // 2-bucket NIC probe can actually see: a doubly-colliding key falls back
-  // to the hopscotch neighbourhood, which the offload never reads. Every
-  // table is built identically, so client 0's visibility map covers all.
+  // to the hopscotch neighbourhood, which the offload never reads.
   std::vector<std::uint64_t> visible;
   visible.reserve(static_cast<std::size_t>(cfg.keys));
   for (int k = 1; k <= cfg.keys; ++k) {
-    if (clients[0].harness->table().NicVisible(static_cast<std::uint64_t>(k))) {
+    if (table.NicVisible(static_cast<std::uint64_t>(k))) {
       visible.push_back(static_cast<std::uint64_t>(k));
     }
   }

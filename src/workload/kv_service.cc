@@ -188,19 +188,16 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
         kv::RdmaHashTable::Config{.buckets = Pow2AtLeast(4 * cnt + 16)}));
     heaps.push_back(std::make_unique<kv::ValueHeap>(
         *sdev[static_cast<std::size_t>(s)], cnt * slot + (64 << 10)));
-    std::vector<std::byte> v(cfg.value_len);
     for (std::uint64_t key : shard_keys[static_cast<std::size_t>(s)]) {
       std::uint64_t ptr;
       if (versioned) {
         ptr = heaps.back()->Reserve(cfg.value_len);
         kv::WriteVersionedValue(ptr, cfg.value_len, key, /*version=*/0);
+        tables.back()->Insert(key, ptr, cfg.value_len);
       } else {
-        for (std::uint32_t i = 0; i < cfg.value_len; ++i) {
-          v[i] = static_cast<std::byte>((key + i) & 0xff);  // PutPattern layout
-        }
-        ptr = heaps.back()->Store(v.data(), cfg.value_len);
+        ptr = kv::PutPattern(*tables.back(), *heaps.back(), key,
+                             cfg.value_len);
       }
-      tables.back()->Insert(key, ptr, cfg.value_len);
       vaddr[static_cast<std::size_t>(s)][key] = ptr;
     }
   }

@@ -108,6 +108,69 @@ TEST(OffloadSameBucket, AnsweredOnceAndNextGetReadsItsOwnValue) {
   }
 }
 
+// The fabric-scale shape: several clients' harnesses over one server store
+// (RedN §5), filled once. Each get reads the shared table and heap, and its
+// response lands in the asking client's buffer only.
+TEST(OffloadSharedStore, ClientsShareOneStoreAndReadOnlyTheirOwnResponses) {
+  TestBed bed;
+  RnicDevice client2(bed.sim, NicConfig::ConnectX5(), Calibration{},
+                     "client2");
+  kv::RdmaHashTable table(bed.server, {.buckets = 1 << 10});
+  kv::ValueHeap heap(bed.server, 64 << 10);
+  constexpr std::uint64_t kKeys = 8;
+  // Distinct lengths as well as patterns: a response read by the wrong
+  // client would show in the CQE's byte count.
+  auto len_of = [](std::uint64_t key) {
+    return static_cast<std::uint32_t>(32 * key);
+  };
+  for (std::uint64_t k = 1; k <= kKeys; ++k) {
+    kv::PutPattern(table, heap, k, len_of(k));
+    ASSERT_TRUE(table.NicVisible(k)) << "key " << k;
+  }
+  const HashGetOffload::Config cfg{.buckets = 2, .max_requests = 40};
+  HashGetHarness h1(bed.client, bed.server, cfg, table, heap);
+  HashGetHarness h2(client2, bed.server, cfg, table, heap);
+  h1.Arm(2 * kKeys);
+  h2.Arm(2 * kKeys);
+
+  // Alternating gets: each one answers its own client and leaves the
+  // other's response count alone.
+  for (std::uint64_t k = 1; k <= kKeys; ++k) {
+    SCOPED_TRACE(k);
+    const std::uint64_t k2 = kKeys + 1 - k;
+    const auto r1 = h1.Get(k);
+    ASSERT_TRUE(r1.found);
+    EXPECT_EQ(r1.len, len_of(k));
+    EXPECT_TRUE(h1.ResponseMatchesPattern(k, len_of(k)));
+    EXPECT_EQ(h2.response_count(), k - 1);
+    const auto r2 = h2.Get(k2);
+    ASSERT_TRUE(r2.found);
+    EXPECT_EQ(r2.len, len_of(k2));
+    EXPECT_TRUE(h2.ResponseMatchesPattern(k2, len_of(k2)));
+    EXPECT_EQ(h1.response_count(), k);
+  }
+
+  // Concurrent gets: both triggers in flight on the shared store at once.
+  for (std::uint64_t k = 1; k <= kKeys; ++k) {
+    SCOPED_TRACE(k);
+    const std::uint64_t k2 = kKeys + 1 - k;
+    ASSERT_TRUE(h1.SendTrigger(k));
+    ASSERT_TRUE(h2.SendTrigger(k2));
+    bed.sim.RunUntil(bed.sim.now() + sim::Micros(50));
+    for (auto [h, key] : {std::pair{&h1, k}, std::pair{&h2, k2}}) {
+      rnic::Cqe cqe;
+      ASSERT_EQ(h->client_dev().PollCq(h->client_recv_cq(), 1, &cqe), 1);
+      EXPECT_EQ(cqe.status, rnic::WcStatus::kSuccess);
+      EXPECT_EQ(cqe.byte_len, len_of(key));
+      h->NoteOpenLoopResponse(cqe.qp_id);
+      EXPECT_TRUE(h->ResponseMatchesPattern(key, len_of(key)));
+      EXPECT_EQ(h->client_dev().PollCq(h->client_recv_cq(), 1, &cqe), 0);
+    }
+  }
+  EXPECT_EQ(h1.response_count(), 2 * kKeys);
+  EXPECT_EQ(h2.response_count(), 2 * kKeys);
+}
+
 TEST_F(OffloadTest, HashGetParallelFasterThanSequentialOnCollision) {
   // Fig 11: with the key always in the second bucket, parallel probing
   // hides the second lookup almost entirely; sequential pays ~3 us extra.
