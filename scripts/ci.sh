@@ -13,8 +13,9 @@
 # A ThreadSanitizer build (`--tsan-only` for the dedicated job,
 # `--skip-tsan` to skip) runs the sharded-engine tests and small --shards
 # bench configurations under real threads: the sharded simulator's claim is
-# that mailboxes and the round barrier are the only cross-thread edges, and
-# TSan is what holds that claim.
+# that the parity-buffered mailboxes and report rows, ordered by the one
+# round barrier, are the only cross-thread edges, and TSan is what holds
+# that claim.
 #
 # Usage: scripts/ci.sh [--skip-debug] [--skip-sanitize] [--sanitize-only]
 #                      [--skip-tsan] [--tsan-only]
@@ -119,7 +120,7 @@ sanitize_stage() {
 tsan_stage() {
   # Sharded engine under ThreadSanitizer: the unit tests (real threads at
   # shards >= 2) plus small --shards bench configurations, which drive the
-  # cross-shard device paths and the coordinator's round loop end to end.
+  # cross-shard device paths and the per-shard round loop end to end.
   echo "=== TSan build (sharded engine) ==="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DREDN_TSAN=ON >/dev/null
   cmake --build build-tsan -j"$(nproc)" --target \
@@ -139,6 +140,10 @@ tsan_stage() {
   # the flows' halves on different shards.
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ./build-tsan/bench_scale_lossy --quick --shards 2
+  # Four writers per parity buffer: every shard posts mail and reports
+  # while the others merge the previous round's.
+  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
+    ./build-tsan/bench_scale_lossy --quick --shards 4
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ./build-tsan/bench_scale_recovery --quick --sim-shards 2
 }

@@ -7,7 +7,11 @@
 namespace redn::sim {
 
 namespace {
-constexpr Nanos kNanosMax = std::numeric_limits<Nanos>::max();
+Nanos SaturatingAdd(Nanos a, Nanos b) {
+  return a > std::numeric_limits<Nanos>::max() - b
+             ? std::numeric_limits<Nanos>::max()
+             : a + b;
+}
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(int shards) {
@@ -21,9 +25,11 @@ ShardedSimulator::ShardedSimulator(int shards) {
     d->coord_ = this;
     domains_.push_back(std::move(d));
   }
-  mail_.resize(static_cast<std::size_t>(shards) * static_cast<std::size_t>(shards));
-  start_.Init(shards);
-  end_.Init(shards);
+  const auto n = static_cast<std::size_t>(shards);
+  mail_.resize(n * n);
+  reports_.assign(2 * n * (n + 9), kNever);
+  lanes_.resize(n);
+  barrier_.Init(shards);
 }
 
 ShardedSimulator::~ShardedSimulator() = default;
@@ -60,126 +66,130 @@ void ShardedSimulator::PostCrossShard(int src, int dst, Nanos t, Nanos src_now,
         " ns; cross-shard effects must lag the sender by at least the "
         "minimum cross-shard link latency");
   }
-  Mailbox& mb = mail_[static_cast<std::size_t>(src) * shards() + dst];
-  mb.pending.push_back(MailMsg{t, mb.next_seq++, std::move(fn)});
+  Mailbox& mb = mailbox(src, dst);
+  mb.pending[lanes_[static_cast<std::size_t>(src)].post].msgs.push_back(
+      MailMsg{t, mb.next_seq++, std::move(fn)});
+  if (t < mb.unreported) mb.unreported = t;
   ++mb.total_sent;
 }
 
-void ShardedSimulator::MergeMailboxes() {
+void ShardedSimulator::MergeInbox(int dst, int parity) {
   const int n = shards();
-  for (int dst = 0; dst < n; ++dst) {
-    merge_scratch_.clear();
-    for (int src = 0; src < n; ++src) {
-      Mailbox& mb = mail_[static_cast<std::size_t>(src) * n + dst];
-      for (MailMsg& m : mb.pending) {
-        merge_scratch_.push_back(MergeKey{m.time, src, m.seq, &m.fn});
+  Lane& lane = lanes_[static_cast<std::size_t>(dst)];
+  std::vector<MergeKey>& keys = lane.scratch;
+  keys.clear();
+  for (int src = 0; src < n; ++src) {
+    for (MailMsg& m : mailbox(src, dst).pending[parity].msgs) {
+      keys.push_back(MergeKey{m.time, src, m.seq, &m.fn});
+    }
+  }
+  if (keys.empty()) return;
+  // Deterministic total order: the destination wheel assigns fresh local
+  // seqs in merge order, so (time, src_shard, seq) here fixes dispatch
+  // order regardless of which thread ran what when.
+  std::sort(keys.begin(), keys.end(), [](const MergeKey& a, const MergeKey& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.src != b.src) return a.src < b.src;
+    return a.seq < b.seq;
+  });
+  EventDomain& d = *domains_[static_cast<std::size_t>(dst)];
+  for (MergeKey& k : keys) {
+    assert(k.time >= d.now() && "mailbox message due in destination past");
+    d.At(k.time, std::move(*k.fn));
+  }
+  lane.merges += keys.size();
+  for (int src = 0; src < n; ++src) {
+    mailbox(src, dst).pending[parity].msgs.clear();
+  }
+}
+
+std::uint64_t ShardedSimulator::ShardLoop(int k, Nanos limit) {
+  const int n = shards();
+  EventDomain& d = *domains_[static_cast<std::size_t>(k)];
+  Lane& lane = lanes_[static_cast<std::size_t>(k)];
+  EventDomain::tls_running_ = &d;
+  std::uint64_t rounds = 0;
+  for (int p = 0;; p ^= 1) {
+    Nanos* mine = report(p, k);
+    if (!d.PeekNextEventTime(&mine[k])) mine[k] = kNever;
+    for (int j = 0; j < n; ++j) {
+      if (j == k) continue;
+      Mailbox& mb = mailbox(k, j);
+      mine[j] = mb.unreported;
+      mb.unreported = kNever;
+    }
+    mine[n] = lane.err != nullptr;
+
+    barrier_.Wait();
+
+    // E_j = min over reporters i of report(p, i)[j]. Every shard reads the
+    // same rows, so `stop` is the same on every shard.
+    Nanos own = kNever;
+    Nanos others = kNever;
+    bool failed = false;
+    for (int j = 0; j < n; ++j) {
+      Nanos e = kNever;
+      for (int i = 0; i < n; ++i) e = std::min(e, report(p, i)[j]);
+      if (j == k) {
+        own = e;
+      } else {
+        others = std::min(others, e);
       }
+      failed = failed || report(p, j)[n] != 0;
     }
-    if (merge_scratch_.empty()) continue;
-    // Deterministic total order: the destination wheel assigns fresh local
-    // seqs in merge order, so (time, src_shard, seq) here fixes dispatch
-    // order regardless of which thread ran what when.
-    std::sort(merge_scratch_.begin(), merge_scratch_.end(),
-              [](const MergeKey& a, const MergeKey& b) {
-                if (a.time != b.time) return a.time < b.time;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    EventDomain& d = *domains_[static_cast<std::size_t>(dst)];
-    for (MergeKey& k : merge_scratch_) {
-      assert(k.time >= d.now() && "mailbox message due in destination past");
-      d.At(k.time, std::move(*k.fn));
+    const Nanos tmin = std::min(own, others);
+    const bool stop = failed || tmin == kNever || tmin > limit;
+    try {
+      // Merge even when stopping, so no mail outlives the run in a buffer.
+      MergeInbox(k, p);
+      if (!stop) {
+        ++rounds;
+        // Mail from j != k is due >= E_j + L; k's own mail comes back no
+        // earlier than E_k + 2L. Without cross-shard links there is no
+        // mail at all: one free-running round.
+        Nanos end = kNever;
+        if (lookahead_ != kNoLookahead) {
+          end = SaturatingAdd(std::min(others, SaturatingAdd(own, lookahead_)),
+                              lookahead_);
+        }
+        if (end > limit) end = limit + 1;
+        lane.post = p ^ 1;
+        d.DrainWindow(end);
+      }
+    } catch (...) {
+      if (!lane.err) lane.err = std::current_exception();
     }
-    merges_ += merge_scratch_.size();
-    for (int src = 0; src < n; ++src) {
-      mail_[static_cast<std::size_t>(src) * n + dst].pending.clear();
-    }
+    if (stop) break;
   }
-}
-
-bool ShardedSimulator::EarliestPending(Nanos* t) const {
-  bool any = false;
-  Nanos best = 0;
-  for (const auto& d : domains_) {
-    Nanos cand;
-    if (d->PeekNextEventTime(&cand) && (!any || cand < best)) {
-      best = cand;
-      any = true;
-    }
-  }
-  if (any) *t = best;
-  return any;
-}
-
-void ShardedSimulator::RunShard(int k) {
-  EventDomain* d = domains_[static_cast<std::size_t>(k)].get();
-  EventDomain::tls_running_ = d;
-  try {
-    d->DrainWindow(window_end_);
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lk(err_mu_);
-      if (!err_) err_ = std::current_exception();
-    }
-    abort_.store(true, std::memory_order_relaxed);
-  }
+  lane.post = 0;
   EventDomain::tls_running_ = nullptr;
-}
-
-void ShardedSimulator::WorkerLoop(int k) {
-  for (;;) {
-    start_.Wait();
-    if (stop_.load(std::memory_order_acquire)) return;
-    RunShard(k);
-    end_.Wait();
-  }
+  return rounds;
 }
 
 void ShardedSimulator::RunWindowed(Nanos limit) {
   const int n = shards();
-  stop_.store(false, std::memory_order_release);
-  abort_.store(false, std::memory_order_release);
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(n) - 1);
   for (int k = 1; k < n; ++k) {
-    workers.emplace_back(&ShardedSimulator::WorkerLoop, this, k);
+    workers.emplace_back(&ShardedSimulator::ShardLoop, this, k, limit);
   }
-  for (;;) {
-    // Merge first: a message parked in a mailbox may be the next event.
-    MergeMailboxes();
-    Nanos tmin;
-    if (!EarliestPending(&tmin) || tmin > limit) break;
-    Nanos end;  // exclusive window end
-    if (lookahead_ == kNoLookahead || tmin > kNanosMax - lookahead_) {
-      end = kNanosMax;  // no cross-shard edges: one free-running round
-    } else {
-      end = tmin + lookahead_;
-    }
-    if (limit < kNanosMax && end > limit) end = limit + 1;
-    window_end_ = end;
-    ++rounds_;
-    start_.Wait();
-    RunShard(0);
-    end_.Wait();
-    if (abort_.load(std::memory_order_acquire)) break;
-  }
-  stop_.store(true, std::memory_order_release);
-  start_.Wait();
+  rounds_ += ShardLoop(0, limit);
   for (std::thread& th : workers) th.join();
-  if (err_) {
-    std::exception_ptr e = err_;
-    err_ = nullptr;
-    std::rethrow_exception(e);
+  // Lowest failing shard wins, so which exception surfaces is deterministic.
+  std::exception_ptr err;
+  for (Lane& lane : lanes_) {
+    if (!err) err = lane.err;
+    lane.err = nullptr;
   }
+  if (err) std::rethrow_exception(err);
 }
 
 void ShardedSimulator::Run() {
   if (shards() == 1) {
-    MergeMailboxes();  // staged same-coordinator sends from setup code
     domains_[0]->Run();
     return;
   }
-  RunWindowed(kNanosMax);
+  RunWindowed(kNever);
   // Queues are drained; let each domain consume its noted horizon so a
   // drained run ends at the last host-visibility instant, exactly like the
   // single-threaded engine.
@@ -188,7 +198,6 @@ void ShardedSimulator::Run() {
 
 void ShardedSimulator::RunUntil(Nanos t) {
   if (shards() == 1) {
-    MergeMailboxes();
     domains_[0]->RunUntil(t);
     return;
   }
@@ -200,7 +209,9 @@ void ShardedSimulator::RunUntil(Nanos t) {
 void ShardedSimulator::Reset() {
   for (auto& d : domains_) d->Reset();
   for (Mailbox& mb : mail_) {
-    mb.pending.clear();
+    mb.pending[0].msgs.clear();
+    mb.pending[1].msgs.clear();
+    mb.unreported = kNever;
     mb.next_seq = 0;  // total_sent stays cumulative, like domain stats
   }
 }
@@ -226,7 +237,9 @@ std::uint64_t ShardedSimulator::heap_fallbacks() const {
 std::size_t ShardedSimulator::pending_events() const {
   std::size_t total = 0;
   for (const auto& d : domains_) total += d->pending_events();
-  for (const Mailbox& mb : mail_) total += mb.pending.size();
+  for (const Mailbox& mb : mail_) {
+    total += mb.pending[0].msgs.size() + mb.pending[1].msgs.size();
+  }
   return total;
 }
 
@@ -234,6 +247,12 @@ Nanos ShardedSimulator::now() const {
   Nanos best = 0;
   for (const auto& d : domains_) best = std::max(best, d->now());
   return best;
+}
+
+std::uint64_t ShardedSimulator::mailbox_merges() const {
+  std::uint64_t total = 0;
+  for (const Lane& lane : lanes_) total += lane.merges;
+  return total;
 }
 
 std::uint64_t ShardedSimulator::cross_shard_sends() const {

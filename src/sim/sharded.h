@@ -9,21 +9,34 @@
 //    (the fabric does this at AttachPort time); the minimum over all
 //    cross-shard links is the lookahead L. Zero-latency cross-shard links
 //    are rejected — with L = 0 no shard could ever safely run ahead.
-//  - A round computes T_min = earliest pending event across all shards and
-//    lets every shard dispatch events in the window [T_min, T_min + L) in
-//    parallel. Any message sent from inside the window is due at
-//    t_send + (path latency >= L) >= T_min + L, i.e. strictly beyond the
-//    window, so no shard can receive an event in its past: conservative
-//    synchronization with link latency as the lookahead, as in federated
-//    ns-3 co-simulation.
-//  - Mailboxes are per-(src,dst) single-producer queues: appended only by
-//    the source shard's thread during a round, merged into the destination
-//    wheel by the coordinator between rounds (the round barrier is the
-//    happens-before edge — mailboxes and the round window are the only
-//    cross-thread data, which is what the TSan CI job checks). The merge
-//    is sorted by (time, src_shard, seq), so simulated results are a pure
-//    function of seed x shard count: bit-identical across reruns and
-//    independent of thread scheduling.
+//  - Every shard runs the same loop on its own thread (shard 0 on the
+//    caller's), with exactly one barrier per round and no coordinator
+//    phase. In round r, with parity p = r & 1, shard k:
+//      1. publishes its report of parity p: the earliest event in its own
+//         wheel, the earliest due time of the mail it posted to each
+//         destination since its last report, and whether its last window
+//         threw;
+//      2. waits at the barrier;
+//      3. reads all n reports of parity p and derives every shard's
+//         earliest work E_j (own wheel or mail in flight to it). Every
+//         shard reads the same slots, so every shard takes the same stop
+//         or rethrow decision;
+//      4. merges its own inbox, the parity-p mail, sorted by
+//         (time, src_shard, seq);
+//      5. runs DrainWindow(H_k), H_k = min(min_{j!=k} E_j, E_k + L) + L
+//         (clamped to limit + 1), posting new mail into parity p ^ 1.
+//    Nothing shard k receives later is due before H_k: mail from j != k
+//    leaves at >= E_j and lags by >= L, and k's own mail needs two hops
+//    (>= E_k + 2L) to come back. So no shard ever receives an event in its
+//    past: conservative synchronization with link latency as the
+//    lookahead, as in federated ns-3 co-simulation.
+//  - Race freedom is the parity argument: parity-p reports and mail are
+//    written before barrier r and read (mail also cleared, by its
+//    destination) between barriers r and r + 1; their writers touch
+//    parity p again only after barrier r + 1. Mailboxes are per-(src,dst)
+//    single-producer lanes, so the merge order, and with it every
+//    simulated result, is a pure function of seed x shard count:
+//    bit-identical across reruns and independent of thread scheduling.
 //
 // `shards = 1` is the degenerate case: Run/RunUntil delegate straight to
 // the single domain's classic single-threaded loop — the exact pre-sharding
@@ -34,8 +47,8 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -93,7 +106,7 @@ class ShardedSimulator {
 
   // Mailbox traffic counters (cumulative, like the domain stats).
   std::uint64_t cross_shard_sends() const;
-  std::uint64_t mailbox_merges() const { return merges_; }
+  std::uint64_t mailbox_merges() const;
   std::uint64_t rounds() const { return rounds_; }
 
   // Mailbox append — called by EventDomain::SendTo from the source shard's
@@ -104,21 +117,44 @@ class ShardedSimulator {
                       std::function<void()> fn);
 
  private:
+  static constexpr Nanos kNever = std::numeric_limits<Nanos>::max();
+
   struct MailMsg {
     Nanos time;
     std::uint64_t seq;  // per-(src,dst) send order
     std::function<void()> fn;
   };
-  struct Mailbox {
-    std::vector<MailMsg> pending;  // written by src thread, drained by merge
+  // One (src,dst) lane. `pending[p]` is appended to by the source shard in
+  // the rounds it posts into parity p and drained by the destination after
+  // the next barrier; everything else is source-owned. Each part sits on
+  // its own cache line, so the two threads never share one mid-round.
+  struct alignas(64) Mailbox {
+    struct alignas(64) Buffer {
+      std::vector<MailMsg> msgs;
+    };
+    Buffer pending[2];
+    Nanos unreported = kNever;  // earliest due time since the last report
     std::uint64_t next_seq = 0;
     std::uint64_t total_sent = 0;
+  };
+  struct MergeKey {
+    Nanos time;
+    int src;
+    std::uint64_t seq;
+    std::function<void()>* fn;
+  };
+  // Thread-owned state of one shard's loop.
+  struct alignas(64) Lane {
+    int post = 0;  // parity of the mail buffer this shard appends to
+    std::uint64_t merges = 0;
+    std::exception_ptr err;  // first exception thrown on this shard
+    std::vector<MergeKey> scratch;  // merge keys, reused across rounds
   };
 
   // Sense-reversing spin barrier. Rounds are often sub-microsecond, so a
   // condvar barrier's wake latency would dominate; spin first, then yield
   // so oversubscribed machines (or a 1-core CI box) still make progress.
-  class SpinBarrier {
+  class alignas(64) SpinBarrier {
    public:
     void Init(int n) { n_ = n; }
     void Wait() {
@@ -144,36 +180,30 @@ class ShardedSimulator {
   };
 
   void RunWindowed(Nanos limit);  // rounds until no pending event <= limit
-  void MergeMailboxes();
-  bool EarliestPending(Nanos* t) const;
-  void RunShard(int k);   // one shard's window, exceptions captured
-  void WorkerLoop(int k);
+  // Shard k's side of every round; returns the number of rounds run.
+  std::uint64_t ShardLoop(int k, Nanos limit);
+  void MergeInbox(int dst, int parity);
+  Mailbox& mailbox(int src, int dst) {
+    return mail_[static_cast<std::size_t>(src * shards() + dst)];
+  }
+  Nanos* report(int parity, int k) {
+    const int n = shards();
+    return &reports_[static_cast<std::size_t>((parity * n + k) * (n + 9))];
+  }
 
   std::vector<std::unique_ptr<EventDomain>> domains_;
-  std::vector<Mailbox> mail_;  // index: src * shards + dst
+  std::vector<Mailbox> mail_;     // index: src * shards + dst
+  // One report per (parity, shard), written only by that shard before the
+  // round's barrier: row[j] for j != shard is the earliest mail it posted
+  // to j since its last report, row[shard] the earliest event in its own
+  // wheel (kNever: none), and row[n] != 0 when its last merge or window
+  // threw. Rows sit n + 9 entries apart, 64 bytes of padding between
+  // them, so no two share a cache line.
+  std::vector<Nanos> reports_;
+  std::vector<Lane> lanes_;       // index: shard
   Nanos lookahead_ = kNoLookahead;
-
-  // Round state. window_end_ is written by the coordinator before the
-  // start barrier and read by workers after it; stop_/abort_ are atomic.
-  Nanos window_end_ = 0;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> abort_{false};
-  SpinBarrier start_;
-  SpinBarrier end_;
-  std::mutex err_mu_;
-  std::exception_ptr err_;  // first exception thrown inside a round
-
+  SpinBarrier barrier_;
   std::uint64_t rounds_ = 0;
-  std::uint64_t merges_ = 0;
-
-  // Merge scratch (coordinator only): reused across rounds.
-  struct MergeKey {
-    Nanos time;
-    int src;
-    std::uint64_t seq;
-    std::function<void()>* fn;
-  };
-  std::vector<MergeKey> merge_scratch_;
 };
 
 // Cross-shard scheduling. Same-shard (or coordinator-less) sends are plain
