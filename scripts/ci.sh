@@ -247,12 +247,27 @@ bench_out="$(./build-release/bench_scale_netfabric --quick --shards 2)"
 echo "${bench_out}" | grep '"bench":"scale_netfabric_sharded"'
 check_floor scale_netfabric_sharded deterministic 1 "sharded netfabric bit-stable rerun"
 check_floor scale_netfabric_sharded mailbox_sends 1 "sharded netfabric cross-shard traffic"
-bench_out="$(./build-release/bench_scale_fanout --shards 4 --tenants 8)"
-echo "${bench_out}" | grep '"bench":"scale_fanout_sharded"'
-# Wall-clock speedup floor: only meaningful with enough cores to actually
-# run 4 shards in parallel.
+# Wall-clock speedup floor, on the median of three runs: one reading on a
+# shared host swings from ~1x to ~3.5x. Every run keeps its own self-checks
+# (exit code). Only meaningful with enough cores to actually run 4 shards
+# in parallel.
+speedups=()
+for run in 1 2 3; do
+  bench_out="$(./build-release/bench_scale_fanout --shards 4 --tenants 8)"
+  echo "${bench_out}" | grep '"bench":"scale_fanout_sharded"'
+  speedup="$(get_field scale_fanout_sharded wall_speedup_vs_1shard)"
+  if [[ -z "${speedup}" ]]; then
+    echo "FAIL: no wall_speedup_vs_1shard in sharded fanout run ${run}" >&2
+    fail=1
+  fi
+  speedups+=("${speedup:-0}")
+done
 if [[ "$(nproc)" -ge 4 ]]; then
-  check_floor scale_fanout_sharded wall_speedup_vs_1shard "${MIN_SHARD_SPEEDUP}" "sharded fanout wall speedup @4 shards"
+  # check_floor reads the field from bench_out: hand it the median run.
+  median="$(printf '%s\n' "${speedups[@]}" | sort -g | sed -n 2p)"
+  echo "sharded fanout wall speedups: ${speedups[*]} (median ${median})"
+  bench_out="JSON {\"bench\":\"scale_fanout_sharded\",\"wall_speedup_vs_1shard\":${median}}"
+  check_floor scale_fanout_sharded wall_speedup_vs_1shard "${MIN_SHARD_SPEEDUP}" "sharded fanout wall speedup @4 shards (median of 3)"
 else
   echo "SKIP: sharded speedup floor needs >= 4 cores, have $(nproc) — not enforced on this machine"
 fi

@@ -23,9 +23,7 @@ void MemcachedServer::Set(std::uint64_t key, const void* value,
 
 void MemcachedServer::SetPattern(std::uint64_t key, std::uint32_t len) {
   std::vector<std::byte> v(len);
-  for (std::uint32_t i = 0; i < len; ++i) {
-    v[i] = static_cast<std::byte>(PatternByte(key, i));
-  }
+  FillBytePattern(v.data(), len, PatternByte(key, 0));
   Set(key, v.data(), len);
 }
 

@@ -1,5 +1,6 @@
 #include "kv/table.h"
 
+#include <array>
 #include <cstring>
 
 namespace redn::kv {
@@ -12,7 +13,37 @@ std::uint64_t Mix(std::uint64_t x, std::uint64_t salt) {
   return x ^ (x >> 31);
 }
 
+// Two laps of the byte ramp 0, 1, ..., 255: the 256 bytes from offset
+// `first` are one full lap of the ramp that starts at `first`.
+constexpr std::array<std::uint8_t, 512> kRampLaps = [] {
+  std::array<std::uint8_t, 512> a{};
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<std::uint8_t>(i);
+  }
+  return a;
+}();
+constexpr std::size_t kRampLap = 256;
+
 }  // namespace
+
+// A lap is 256 bytes, so every lap of a run starts at the same `first`.
+void FillBytePattern(void* dst, std::size_t n, std::uint8_t first) {
+  auto* p = static_cast<std::uint8_t*>(dst);
+  const std::uint8_t* lap = kRampLaps.data() + first;
+  for (; n >= kRampLap; n -= kRampLap, p += kRampLap) {
+    std::memcpy(p, lap, kRampLap);
+  }
+  std::memcpy(p, lap, n);
+}
+
+bool BytePatternMatches(const void* src, std::size_t n, std::uint8_t first) {
+  const auto* p = static_cast<const std::uint8_t*>(src);
+  const std::uint8_t* lap = kRampLaps.data() + first;
+  for (; n >= kRampLap; n -= kRampLap, p += kRampLap) {
+    if (std::memcmp(p, lap, kRampLap) != 0) return false;
+  }
+  return std::memcmp(p, lap, n) == 0;
+}
 
 std::uint64_t Hash1(std::uint64_t key) { return Mix(key, 0x51ed270b0a1ce86dULL); }
 std::uint64_t Hash2(std::uint64_t key) { return Mix(key, 0xc2b2ae3d27d4eb4fULL); }
@@ -28,20 +59,20 @@ void SetValueVersion(std::uint64_t addr, std::uint64_t version) {
 void WriteVersionedValue(std::uint64_t addr, std::uint32_t len,
                          std::uint64_t key, std::uint64_t version) {
   rnic::dma::WriteU64(addr, version);
-  auto* p = reinterpret_cast<std::uint8_t*>(addr);
-  for (std::uint32_t i = kValueVersionBytes; i < len; ++i) {
-    p[i] = VersionedPatternByte(key, version, i);
-  }
+  if (len <= kValueVersionBytes) return;
+  FillBytePattern(reinterpret_cast<std::uint8_t*>(addr) + kValueVersionBytes,
+                  len - kValueVersionBytes,
+                  VersionedPatternByte(key, version, kValueVersionBytes));
 }
 
 bool VersionedValueIntact(std::uint64_t addr, std::uint32_t len,
                           std::uint64_t key) {
+  if (len <= kValueVersionBytes) return true;
   const std::uint64_t version = rnic::dma::ReadU64(addr);
-  const auto* p = reinterpret_cast<const std::uint8_t*>(addr);
-  for (std::uint32_t i = kValueVersionBytes; i < len; ++i) {
-    if (p[i] != VersionedPatternByte(key, version, i)) return false;
-  }
-  return true;
+  return BytePatternMatches(
+      reinterpret_cast<const std::uint8_t*>(addr) + kValueVersionBytes,
+      len - kValueVersionBytes,
+      VersionedPatternByte(key, version, kValueVersionBytes));
 }
 
 ValueHeap::ValueHeap(rnic::RnicDevice& dev, std::size_t capacity_bytes)
@@ -97,18 +128,26 @@ bool RdmaHashTable::TryPlace(std::size_t index, std::uint64_t key,
   return true;
 }
 
-bool RdmaHashTable::Insert(std::uint64_t key, std::uint64_t ptr,
-                           std::uint32_t len, bool force_second) {
+RdmaHashTable::Placed RdmaHashTable::Place(std::uint64_t key,
+                                           std::uint64_t ptr,
+                                           std::uint32_t len,
+                                           bool force_second) {
   key &= kKeyMask;
-  if (key == 0) return false;  // 0 is the empty sentinel
-  if (!force_second && TryPlace(IndexOf1(key), key, ptr, len)) return true;
-  if (TryPlace(IndexOf2(key), key, ptr, len)) return true;
-  // Hopscotch-style fallback: try the H1 neighbourhood.
-  const std::size_t base = IndexOf1(key);
+  if (key == 0) return Placed::kNowhere;  // 0 is the empty sentinel
+  const std::size_t i1 = IndexOf1(key);
+  const std::size_t i2 = IndexOf2(key);
+  if (!force_second && TryPlace(i1, key, ptr, len)) return Placed::kCandidate;
+  if (TryPlace(i2, key, ptr, len)) return Placed::kCandidate;
+  // Hopscotch-style fallback: try the H1 neighbourhood. In a table not much
+  // larger than the window, a window slot can be a candidate bucket itself.
   for (int i = 1; i < cfg_.neighborhood; ++i) {
-    if (TryPlace((base + i) & (cfg_.buckets - 1), key, ptr, len)) return true;
+    const std::size_t index = (i1 + i) & (cfg_.buckets - 1);
+    if (TryPlace(index, key, ptr, len)) {
+      return index == i1 || index == i2 ? Placed::kCandidate
+                                        : Placed::kNeighborhood;
+    }
   }
-  return false;
+  return Placed::kNowhere;
 }
 
 bool RdmaHashTable::Erase(std::uint64_t key) {
@@ -190,8 +229,7 @@ std::uint64_t PutPattern(RdmaHashTable& table, ValueHeap& heap,
                          std::uint64_t key, std::uint32_t len,
                          bool force_second) {
   const std::uint64_t ptr = heap.Reserve(len);
-  auto* p = reinterpret_cast<std::uint8_t*>(ptr);
-  for (std::uint32_t i = 0; i < len; ++i) p[i] = PatternByte(key, i);
+  FillBytePattern(reinterpret_cast<void*>(ptr), len, PatternByte(key, 0));
   table.Insert(key, ptr, len, force_second);
   return ptr;
 }

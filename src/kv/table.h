@@ -44,6 +44,13 @@ inline std::uint8_t PatternByte(std::uint64_t key, std::uint32_t i) {
   return static_cast<std::uint8_t>((key + i) & 0xff);
 }
 
+// Every value pattern here is a byte ramp: byte j of a run is
+// (first + j) mod 256. These fill and check a run 256 bytes (one lap of the
+// ramp) at a time with memcpy / memcmp; `first` is the pattern byte at the
+// run's start (e.g. PatternByte(key, 0)).
+void FillBytePattern(void* dst, std::size_t n, std::uint8_t first);
+bool BytePatternMatches(const void* src, std::size_t n, std::uint8_t first);
+
 // --- Versioned values -------------------------------------------------------
 // When the KV service runs a write path, every value starts with a u64
 // version tag (0 = seeded, +1 per applied put); payload bytes follow. The
@@ -106,12 +113,21 @@ class RdmaHashTable {
 
   RdmaHashTable(rnic::RnicDevice& dev, Config cfg);
 
-  // Inserts key -> (ptr, len). Returns false if both candidate buckets (and
-  // the H1 neighbourhood) are full. `force_second` plants the key in its
-  // H2 bucket even if H1 is free — used to construct the collision
+  // Where Place put a key: one of its two candidate buckets (NicVisible),
+  // a slot of the H1 neighbourhood (host-visible only), or nowhere.
+  enum class Placed : std::uint8_t { kNowhere, kNeighborhood, kCandidate };
+
+  // Inserts key -> (ptr, len). Returns kNowhere if both candidate buckets
+  // (and the H1 neighbourhood) are full. `force_second` plants the key in
+  // its H2 bucket even if H1 is free — used to construct the collision
   // experiments (Fig 11).
+  Placed Place(std::uint64_t key, std::uint64_t ptr, std::uint32_t len,
+               bool force_second = false);
+  // Place, reduced to "the key is in the table".
   bool Insert(std::uint64_t key, std::uint64_t ptr, std::uint32_t len,
-              bool force_second = false);
+              bool force_second = false) {
+    return Place(key, ptr, len, force_second) != Placed::kNowhere;
+  }
 
   bool Erase(std::uint64_t key);
   void Clear();

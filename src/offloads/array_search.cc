@@ -141,7 +141,7 @@ ArraySearchOffload::ArraySearchOffload(rnic::RnicDevice& server,
   }
 
   const std::uint32_t sge_count = static_cast<std::uint32_t>(recv_sges.size());
-  const rnic::Sge* table = prog_.MakeSgeTable(std::move(recv_sges));
+  const rnic::Sge* table = prog_.MakeSgeTable(recv_sges);
   verbs::RecvWr rwr;
   rwr.sge_table = table;
   rwr.sge_count = sge_count;

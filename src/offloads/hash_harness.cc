@@ -88,11 +88,7 @@ void HashGetHarness::PutPattern(std::uint64_t key, std::uint32_t len,
 
 bool HashGetHarness::ResponseMatchesPattern(std::uint64_t key,
                                             std::uint32_t len) const {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(resp_buf_.get());
-  for (std::uint32_t i = 0; i < len; ++i) {
-    if (p[i] != kv::PatternByte(key, i)) return false;
-  }
-  return true;
+  return kv::BytePatternMatches(resp_buf_.get(), len, kv::PatternByte(key, 0));
 }
 
 void HashGetHarness::PutVersioned(std::uint64_t key, std::uint32_t len,
@@ -110,12 +106,8 @@ std::uint64_t HashGetHarness::ResponseVersion() const {
 
 bool HashGetHarness::ResponseMatchesVersionedPattern(std::uint64_t key,
                                                      std::uint32_t len) const {
-  const std::uint64_t version = ResponseVersion();
-  const auto* p = reinterpret_cast<const std::uint8_t*>(resp_buf_.get());
-  for (std::uint32_t i = kv::kValueVersionBytes; i < len; ++i) {
-    if (p[i] != kv::VersionedPatternByte(key, version, i)) return false;
-  }
-  return true;
+  return kv::VersionedValueIntact(
+      reinterpret_cast<std::uint64_t>(resp_buf_.get()), len, key);
 }
 
 void HashGetHarness::Arm(int n) {

@@ -39,7 +39,7 @@ void HashGetOffload::ArmBucketChain(Program& prog, QueuePair* chain,
                                     std::uint64_t recv_seq,
                                     std::uint64_t resp_addr,
                                     std::uint32_t resp_rkey, std::uint32_t imm,
-                                    std::vector<rnic::Sge>& recv_sges) {
+                                    rnic::Sge* recv_sges) {
   // R4: the response (posted first so READ/CAS can reference its fields).
   verbs::SendWr r4;
   r4.opcode = Opcode::kNoop;  // becomes kWriteImm on a hit
@@ -76,10 +76,8 @@ void HashGetOffload::ArmBucketChain(Program& prog, QueuePair* chain,
   WrRef cs = prog.Post(chain, cas);
 
   // Trigger injection points for this bucket probe.
-  recv_sges.push_back({cs.FieldAddr(WqeField::kCompareAdd), 8,
-                       chain->sq_mr.lkey});
-  recv_sges.push_back({rd.FieldAddr(WqeField::kRemoteAddr), 8,
-                       chain->sq_mr.lkey});
+  recv_sges[0] = {cs.FieldAddr(WqeField::kCompareAdd), 8, chain->sq_mr.lkey};
+  recv_sges[1] = {rd.FieldAddr(WqeField::kRemoteAddr), 8, chain->sq_mr.lkey};
 
   // Control glue (doorbell ordering): trigger -> READ -> CAS -> response.
   prog.Wait(trigger_cq, recv_seq);
@@ -96,7 +94,10 @@ void HashGetOffload::Arm(int n, std::uint64_t resp_addr,
     const std::uint64_t seq = ++armed_;
     const int before = prog_.budget().total() + prog2_.budget().total();
 
-    std::vector<rnic::Sge> recv_sges;
+    // Two trigger scatter entries per bucket probe, filled by ArmBucketChain.
+    const std::uint32_t sge_count =
+        static_cast<std::uint32_t>(cfg_.buckets * 2);
+    rnic::Sge* recv_sges = prog_.NewSgeTable(sge_count);
     // Bucket 1 probe rides prog_/m1_ and answers on client_qp_.
     ArmBucketChain(prog_, m1_, client_qp_, client_qp_->recv_cq, seq,
                    resp_addr, resp_rkey, static_cast<std::uint32_t>(seq),
@@ -107,19 +108,19 @@ void HashGetOffload::Arm(int n, std::uint64_t resp_addr,
         // second client-facing QP but gates on the same trigger CQ.
         ArmBucketChain(prog2_, m2_, client_qp2_, client_qp_->recv_cq, seq,
                        resp_addr, resp_rkey, static_cast<std::uint32_t>(seq),
-                       recv_sges);
+                       recv_sges + 2);
       } else {
         ArmBucketChain(prog_, m1_, client_qp_, client_qp_->recv_cq, seq,
                        resp_addr, resp_rkey, static_cast<std::uint32_t>(seq),
-                       recv_sges);
+                       recv_sges + 2);
       }
     }
 
     // One RECV consumes the trigger and feeds every probe in this request.
     verbs::RecvWr rwr;
     rwr.wr_id = seq;
-    rwr.sge_table = prog_.MakeSgeTable(std::move(recv_sges));
-    rwr.sge_count = static_cast<std::uint32_t>(cfg_.buckets * 2);
+    rwr.sge_table = recv_sges;
+    rwr.sge_count = sge_count;
     verbs::PostRecv(client_qp_, rwr);
 
     wrs_per_request_ =

@@ -108,7 +108,7 @@ class HashGetOffload {
                       rnic::CompletionQueue* trigger_cq,
                       std::uint64_t recv_seq, std::uint64_t resp_addr,
                       std::uint32_t resp_rkey, std::uint32_t imm,
-                      std::vector<rnic::Sge>& recv_sges);
+                      rnic::Sge* recv_sges);
 
   rnic::RnicDevice& server_;
   kv::RdmaHashTable& table_;

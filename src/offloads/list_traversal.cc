@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "kv/table.h"
 #include "verbs/verbs.h"
 
 namespace redn::offloads {
@@ -36,7 +37,8 @@ std::uint64_t ListStore::Append(std::uint64_t key, const void* value) {
 
 void ListStore::AppendPattern(std::uint64_t key) {
   std::vector<std::byte> v(value_len_);
-  for (std::uint32_t i = 0; i < value_len_; ++i) v[i] = PatternByte(key, i);
+  kv::FillBytePattern(v.data(), value_len_,
+                      std::to_integer<std::uint8_t>(PatternByte(key, 0)));
   Append(key, v.data());
 }
 
@@ -194,7 +196,7 @@ ListTraversalOffload::ListTraversalOffload(rnic::RnicDevice& server,
   // injection), then the head address into READ_0.remote_addr.
   recv_sges.push_back({first_read_remote_field, 8, chain_->sq_mr.lkey});
   const std::uint32_t sge_count = static_cast<std::uint32_t>(recv_sges.size());
-  const rnic::Sge* table = prog_.MakeSgeTable(std::move(recv_sges));
+  const rnic::Sge* table = prog_.MakeSgeTable(recv_sges);
   verbs::RecvWr rwr;
   rwr.sge_table = table;
   rwr.sge_count = sge_count;

@@ -1,5 +1,7 @@
 #include "redn/program.h"
 
+#include <algorithm>
+
 namespace redn::core {
 namespace {
 
@@ -98,9 +100,26 @@ WrRef Program::Post(QueuePair* q, const verbs::SendWr& wr) {
   return WrRef{q, idx};
 }
 
-const Sge* Program::MakeSgeTable(std::vector<Sge> sges) {
-  sge_arena_.push_back(std::move(sges));
-  return sge_arena_.back().data();
+Sge* Program::NewSgeTable(std::size_t n) {
+  if (n > kSgeBlock) {  // its own block; the current block keeps its tail
+    sge_blocks_.push_back(std::make_unique<Sge[]>(n));
+    return sge_blocks_.back().get();
+  }
+  if (n > sge_left_) {
+    sge_blocks_.push_back(std::make_unique<Sge[]>(kSgeBlock));
+    sge_next_ = sge_blocks_.back().get();
+    sge_left_ = kSgeBlock;
+  }
+  Sge* table = sge_next_;
+  sge_next_ += n;
+  sge_left_ -= n;
+  return table;
+}
+
+const Sge* Program::MakeSgeTable(std::span<const Sge> sges) {
+  Sge* table = NewSgeTable(sges.size());
+  std::copy(sges.begin(), sges.end(), table);
+  return table;
 }
 
 WrRef Program::Wait(CompletionQueue* cq, std::uint64_t count) {

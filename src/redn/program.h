@@ -15,8 +15,11 @@
 // WAIT/ENABLE verbs, matching Table 2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <initializer_list>
+#include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -70,8 +73,17 @@ class Program {
   // Posts a WR (no doorbell) and tracks the WR budget + per-CQ signal count.
   WrRef Post(QueuePair* q, const verbs::SendWr& wr);
 
-  // Arena-owned scatter/gather table (stable storage the NIC reads late).
-  const Sge* MakeSgeTable(std::vector<Sge> sges);
+  // Program-owned scatter/gather tables: stable storage the NIC reads late,
+  // carved from fixed-size blocks that live as long as the program.
+  // NewSgeTable returns `n` zeroed entries for the caller to fill;
+  // MakeSgeTable copies `sges` into a new table.
+  Sge* NewSgeTable(std::size_t n);
+  const Sge* MakeSgeTable(std::span<const Sge> sges);
+  const Sge* MakeSgeTable(std::initializer_list<Sge> sges) {
+    return MakeSgeTable(std::span<const Sge>(sges.begin(), sges.size()));
+  }
+  // Entries per SGE block; a larger table gets a block of its own.
+  static constexpr std::size_t kSgeBlock = 64;
 
   // --- control-queue emitters ----------------------------------------------
   WrRef Wait(CompletionQueue* cq, std::uint64_t count);
@@ -117,7 +129,9 @@ class Program {
   int port_;
   QueuePair* control_ = nullptr;
   std::vector<QueuePair*> owned_;
-  std::deque<std::vector<Sge>> sge_arena_;
+  std::vector<std::unique_ptr<Sge[]>> sge_blocks_;
+  Sge* sge_next_ = nullptr;  // unused tail of the newest kSgeBlock block
+  std::size_t sge_left_ = 0;
   std::unordered_map<const CompletionQueue*, std::uint64_t> signals_;
   WrBudget budget_;
 };

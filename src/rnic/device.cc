@@ -526,7 +526,7 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
         const sim::Nanos ready = std::max(
             {t_issue + ExecCost(op) + HostDataDelay(len), pcie_done, mem_done});
         if (CrossShard(peer)) {
-          SendAcrossFabric(wq, qp, peer, pl, op, ready);
+          SendAcrossFabric(wq, qp, peer, pl, ready);
           return;
         }
         t_arrive = FabricDeliver(qp, peer, ready, len);
@@ -1341,7 +1341,7 @@ sim::Nanos RnicDevice::FabricDeliver(const QueuePair* from, const QueuePair* to,
 // ---------------------------------------------------------------------------
 
 void RnicDevice::SendAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                                  Payload* pl, Opcode op, sim::Nanos ready) {
+                                  Payload* pl, sim::Nanos ready) {
   const FabricAttach& s = fabric_ports_[qp->port];
   const FabricAttach& d = peer->device->fabric_ports_[peer->port];
   sim::Fabric* fab = s.fabric;

@@ -387,7 +387,7 @@ class RnicDevice {
   // qp->alive, scatter) is only ever touched on the requester's shard, at
   // the ACK instant.
   void SendAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                        Payload* pl, Opcode op, sim::Nanos ready);
+                        Payload* pl, sim::Nanos ready);
   void ReadAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
                         Payload* pl, sim::Nanos t_issue, sim::Nanos ow);
   void AtomicAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,

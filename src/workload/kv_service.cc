@@ -56,6 +56,11 @@ void Validate(const KvServiceConfig& cfg) {
     throw std::invalid_argument(
         "KvServiceConfig: chain replication needs shards >= 2");
   }
+  if (cfg.shards > 64) {
+    throw std::invalid_argument(
+        "KvServiceConfig: shards must be <= 64 (a put ack's replica mask is "
+        "one u64)");
+  }
   if (cfg.tenants < 1 || cfg.gets_per_tenant < 1 || cfg.keys < 1) {
     throw std::invalid_argument(
         "KvServiceConfig: tenants, gets_per_tenant, keys must be positive");
@@ -164,56 +169,69 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
 
   // --- key placement + shard stores ----------------------------------------
   // Every key lives on its ring primary AND the primary's chain successor.
-  std::vector<std::vector<std::uint64_t>> shard_keys(
-      static_cast<std::size_t>(cfg.shards));
-  for (int k = 1; k <= cfg.keys; ++k) {
-    const std::uint64_t key = static_cast<std::uint64_t>(k);
+  // The ring is fixed for the run, so each key's primary is looked up once:
+  // primary[key], one byte per key (keys are 1..cfg.keys).
+  const std::uint64_t max_key = static_cast<std::uint64_t>(cfg.keys);
+  std::vector<std::uint8_t> primary(max_key + 1);
+  std::vector<std::size_t> shard_cnt(static_cast<std::size_t>(cfg.shards));
+  for (std::uint64_t key = 1; key <= max_key; ++key) {
     const int p = ring.PrimaryOf(key);
-    shard_keys[static_cast<std::size_t>(p)].push_back(key);
-    shard_keys[static_cast<std::size_t>(ring.SuccessorOf(p))].push_back(key);
+    primary[key] = static_cast<std::uint8_t>(p);
+    ++shard_cnt[static_cast<std::size_t>(p)];
+    ++shard_cnt[static_cast<std::size_t>(ring.SuccessorOf(p))];
   }
+  auto primary_of = [&](std::uint64_t key) {
+    return static_cast<int>(primary[key]);
+  };
   const bool versioned = Versioned(cfg);
   const std::size_t slot = (static_cast<std::size_t>(cfg.value_len) + 7) & ~std::size_t{7};
   std::vector<std::unique_ptr<kv::RdmaHashTable>> tables;
   std::vector<std::unique_ptr<kv::ValueHeap>> heaps;
-  // Per-shard key -> value address (stable for the run: puts and re-sync
-  // rewrite values in place, so replication and anti-entropy can target
-  // fixed remote addresses).
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> vaddr(
-      static_cast<std::size_t>(cfg.shards));
+  // vaddr[s][key]: the key's value address on shard s, 0 if s is not one of
+  // its replicas. Stable for the run: puts and re-sync rewrite values in
+  // place, so replication and anti-entropy can target fixed remote
+  // addresses. Each shard's inserts run in ascending key order: that order
+  // decides which keys land in a candidate bucket, so it is part of the
+  // simulated output. No insert evicts another key, so what Place reports
+  // is still true once the store is built.
+  std::vector<std::vector<std::uint64_t>> vaddr(
+      static_cast<std::size_t>(cfg.shards),
+      std::vector<std::uint64_t>(max_key + 1));
+  // nic_visible[key]: how many of the key's replicas hold it in a
+  // candidate bucket (the only slots the 2-bucket NIC probe reads).
+  std::vector<std::uint8_t> nic_visible(max_key + 1);
   for (int s = 0; s < cfg.shards; ++s) {
-    const std::size_t cnt = shard_keys[static_cast<std::size_t>(s)].size();
+    const std::size_t cnt = shard_cnt[static_cast<std::size_t>(s)];
     tables.push_back(std::make_unique<kv::RdmaHashTable>(
         *sdev[static_cast<std::size_t>(s)],
         kv::RdmaHashTable::Config{.buckets = Pow2AtLeast(4 * cnt + 16)}));
     heaps.push_back(std::make_unique<kv::ValueHeap>(
         *sdev[static_cast<std::size_t>(s)], cnt * slot + (64 << 10)));
-    for (std::uint64_t key : shard_keys[static_cast<std::size_t>(s)]) {
-      std::uint64_t ptr;
+    std::vector<std::uint64_t>& local = vaddr[static_cast<std::size_t>(s)];
+    for (std::uint64_t key = 1; key <= max_key; ++key) {
+      const int p = primary_of(key);
+      if (p != s && ring.SuccessorOf(p) != s) continue;
+      const std::uint64_t ptr = heaps.back()->Reserve(cfg.value_len);
       if (versioned) {
-        ptr = heaps.back()->Reserve(cfg.value_len);
         kv::WriteVersionedValue(ptr, cfg.value_len, key, /*version=*/0);
-        tables.back()->Insert(key, ptr, cfg.value_len);
       } else {
-        ptr = kv::PutPattern(*tables.back(), *heaps.back(), key,
-                             cfg.value_len);
+        kv::FillBytePattern(reinterpret_cast<void*>(ptr), cfg.value_len,
+                            kv::PatternByte(key, 0));
       }
-      vaddr[static_cast<std::size_t>(s)][key] = ptr;
+      if (tables.back()->Place(key, ptr, cfg.value_len) ==
+          kv::RdmaHashTable::Placed::kCandidate) {
+        ++nic_visible[key];
+      }
+      local[key] = ptr;
     }
   }
 
   // Depth-1 closed loops starve on a miss, so tenants draw only keys the
   // 2-bucket NIC probe can see on BOTH replicas.
   std::vector<std::uint64_t> eligible;
-  eligible.reserve(static_cast<std::size_t>(cfg.keys));
-  for (int k = 1; k <= cfg.keys; ++k) {
-    const std::uint64_t key = static_cast<std::uint64_t>(k);
-    const int p = ring.PrimaryOf(key);
-    const int b = ring.SuccessorOf(p);
-    if (tables[static_cast<std::size_t>(p)]->NicVisible(key) &&
-        tables[static_cast<std::size_t>(b)]->NicVisible(key)) {
-      eligible.push_back(key);
-    }
+  eligible.reserve(max_key);
+  for (std::uint64_t key = 1; key <= max_key; ++key) {
+    if (nic_visible[key] == 2) eligible.push_back(key);
   }
   if (eligible.empty()) {
     throw std::runtime_error("RunKvService: no NIC-visible keys");
@@ -624,7 +642,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
       T.waiting = false;
       return;
     }
-    const int p = ring.PrimaryOf(T.key);
+    const int p = primary_of(T.key);
     T.primary = p;
     const int b = ring.SuccessorOf(p);
     const int pref = T.dead[static_cast<std::size_t>(p)] ? b : p;
@@ -642,17 +660,15 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
           T.dead[static_cast<std::size_t>(target)] = 1;
           continue;
         }
-        rnic::dma::WriteU64(ptx_mr[static_cast<std::size_t>(t)].addr, T.key);
-        auto* pay = reinterpret_cast<std::uint8_t*>(
-            ptx_mr[static_cast<std::size_t>(t)].addr);
-        for (std::uint32_t i = kv::kValueVersionBytes; i < cfg.value_len;
-             ++i) {
-          pay[i] = static_cast<std::uint8_t>((T.key + i) & 0xff);
-        }
+        const std::uint64_t tx = ptx_mr[static_cast<std::size_t>(t)].addr;
+        rnic::dma::WriteU64(tx, T.key);
+        kv::FillBytePattern(
+            reinterpret_cast<std::uint8_t*>(tx) + kv::kValueVersionBytes,
+            cfg.value_len - kv::kValueVersionBytes,
+            kv::PatternByte(T.key, kv::kValueVersionBytes));
         verbs::PostSendNow(
             L.req_cli,
-            verbs::MakeSend(ptx_mr[static_cast<std::size_t>(t)].addr,
-                            cfg.value_len,
+            verbs::MakeSend(tx, cfg.value_len,
                             ptx_mr[static_cast<std::size_t>(t)].lkey,
                             /*signaled=*/false));
         if (target != p) ++T.reroutes;
@@ -840,13 +856,12 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // primary whose successor is unreachable) acks alone and marks the
   // absent peer dirty so its heal runs anti-entropy.
   auto apply_put = [&](int t, int s, std::uint64_t key) {
-    auto& amap = vaddr[static_cast<std::size_t>(s)];
-    const auto it = amap.find(key);
-    if (it == amap.end()) return;  // not a replica of this key
-    const std::uint64_t addr = it->second;
+    if (key > max_key) return;
+    const std::uint64_t addr = vaddr[static_cast<std::size_t>(s)][key];
+    if (addr == 0) return;  // not a replica of this key
     const std::uint64_t version = kv::ValueVersion(addr) + 1;
     kv::WriteVersionedValue(addr, cfg.value_len, key, version);
-    const int p = ring.PrimaryOf(key);
+    const int p = primary_of(key);
     if (s != p) {
       // Degraded head: the tenant routed here because the primary was
       // unroutable — the primary is missing this write.
@@ -1242,8 +1257,10 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   auto start_resync = [&](int s, std::size_t ei, sim::Nanos down_at) {
     std::vector<std::vector<kv::ResyncSession::Item>> by_donor(
         static_cast<std::size_t>(cfg.shards));
-    for (std::uint64_t key : shard_keys[static_cast<std::size_t>(s)]) {
-      const int p = ring.PrimaryOf(key);
+    const std::vector<std::uint64_t>& local = vaddr[static_cast<std::size_t>(s)];
+    for (std::uint64_t key = 1; key <= max_key; ++key) {
+      if (local[key] == 0) continue;  // s is not a replica of this key
+      const int p = primary_of(key);
       const int donor = p == s ? ring.SuccessorOf(p) : p;
       if (donor == s ||
           shard_state[static_cast<std::size_t>(donor)] !=
@@ -1253,7 +1270,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
       by_donor[static_cast<std::size_t>(donor)].push_back(
           kv::ResyncSession::Item{
               key, vaddr[static_cast<std::size_t>(donor)][key],
-              vaddr[static_cast<std::size_t>(s)][key], cfg.value_len});
+              local[key], cfg.value_len});
     }
     auto outstanding = std::make_shared<int>(0);
     for (const auto& items : by_donor) {
@@ -1366,11 +1383,12 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
             sdev[static_cast<std::size_t>(s)]->ReviveProcessResources(
                 kShardPidBase + s);
             shard_state[static_cast<std::size_t>(s)] = ShardState::kResyncing;
-            for (std::uint64_t key :
-                 shard_keys[static_cast<std::size_t>(s)]) {
-              kv::WriteVersionedValue(
-                  vaddr[static_cast<std::size_t>(s)][key], cfg.value_len,
-                  key, /*version=*/0);
+            const std::vector<std::uint64_t>& local =
+                vaddr[static_cast<std::size_t>(s)];
+            for (std::uint64_t key = 1; key <= max_key; ++key) {
+              if (local[key] == 0) continue;  // not a replica of this key
+              kv::WriteVersionedValue(local[key], cfg.value_len, key,
+                                      /*version=*/0);
             }
             heal_tenants(e, s, /*crash=*/true, /*clear_dead=*/false);
             heal_put_links(s);
@@ -1500,7 +1518,7 @@ KvServiceResult RunKvService(const KvServiceConfig& cfg) {
   // consistent values, and equal versions must mean equal bytes.
   if (versioned) {
     for (std::uint64_t key : eligible) {
-      const int p = ring.PrimaryOf(key);
+      const int p = primary_of(key);
       const int b = ring.SuccessorOf(p);
       if (shard_state[static_cast<std::size_t>(p)] != ShardState::kServing ||
           shard_state[static_cast<std::size_t>(b)] != ShardState::kServing) {

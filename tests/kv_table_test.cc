@@ -1,6 +1,9 @@
 // Unit tests for the RDMA-visible hash table and value heap.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "kv/table.h"
 #include "testbed.h"
 
@@ -151,6 +154,91 @@ TEST_F(TableTest, NeighborhoodCoversConfiguredBuckets) {
   for (std::uint64_t k = 1; k < 500; ++k) {
     const std::uint64_t addr = t.NeighborhoodAddr(k);
     EXPECT_GE(addr, t.BucketAddr1(1) - 1024 * kv::kBucketSize);
+  }
+}
+
+// The versioned layout is a pure function of (key, version): every payload
+// byte must equal VersionedPatternByte, the check must accept exactly that
+// and reject any single changed payload byte or a changed version tag.
+// Lengths straddle the 256-byte lap of the pattern from both sides.
+TEST_F(TableTest, VersionedValueRoundTripsAndCatchesEveryByteFlip) {
+  constexpr std::uint64_t kKey = 3;
+  std::uint64_t wraps_at_once = 0;  // first payload byte is 0xff
+  while (kv::VersionedPatternByte(kKey, wraps_at_once,
+                                  kv::kValueVersionBytes) != 0xff) {
+    ++wraps_at_once;
+  }
+  ASSERT_LT(wraps_at_once, 256u);
+  const std::uint64_t versions[] = {0, 1, (1ULL << 32) + 7, wraps_at_once};
+  const std::uint32_t lens[] = {8,   9,   16,  263,  264,
+                                265, 519, 520, 4104, 65536};
+  std::vector<std::uint64_t> buf(65536 / 8 + 1);
+  const auto addr = reinterpret_cast<std::uint64_t>(buf.data());
+  auto* bytes = reinterpret_cast<std::uint8_t*>(buf.data());
+  for (const std::uint64_t version : versions) {
+    for (const std::uint32_t len : lens) {
+      SCOPED_TRACE(testing::Message() << "version " << version << " len "
+                                      << len);
+      std::memset(bytes, 0xa5, buf.size() * 8);
+      kv::WriteVersionedValue(addr, len, kKey, version);
+      ASSERT_EQ(kv::ValueVersion(addr), version);
+      for (std::uint32_t i = kv::kValueVersionBytes; i < len; ++i) {
+        ASSERT_EQ(bytes[i], kv::VersionedPatternByte(kKey, version, i))
+            << "byte " << i;
+      }
+      EXPECT_EQ(bytes[len], 0xa5) << "wrote past the value";
+      ASSERT_TRUE(kv::VersionedValueIntact(addr, len, kKey));
+      for (std::uint32_t i = kv::kValueVersionBytes; i < len; ++i) {
+        bytes[i] ^= 0x01;
+        ASSERT_FALSE(kv::VersionedValueIntact(addr, len, kKey))
+            << "flip at byte " << i << " not caught";
+        bytes[i] ^= 0x01;
+      }
+      if (len > kv::kValueVersionBytes) {
+        kv::SetValueVersion(addr, version + 1);
+        EXPECT_FALSE(kv::VersionedValueIntact(addr, len, kKey));
+        kv::SetValueVersion(addr, version);
+      }
+      EXPECT_TRUE(kv::VersionedValueIntact(addr, len, kKey));
+    }
+  }
+}
+
+// Place reports a candidate bucket exactly when the key is NicVisible, also
+// once the table has crowded keys into H1 neighbourhoods.
+TEST_F(TableTest, PlaceReportsNicVisibility) {
+  RdmaHashTable t(bed.server, {.buckets = 64, .neighborhood = 6});
+  std::vector<std::pair<std::uint64_t, RdmaHashTable::Placed>> placed;
+  int neighborhood = 0;
+  for (std::uint64_t k = 1; k <= 60; ++k) {
+    placed.emplace_back(k, t.Place(k, k * 8, 8));
+    if (placed.back().second == RdmaHashTable::Placed::kNeighborhood) {
+      ++neighborhood;
+    }
+  }
+  EXPECT_GT(neighborhood, 0);
+  for (const auto& [k, where] : placed) {
+    EXPECT_EQ(t.NicVisible(k), where == RdmaHashTable::Placed::kCandidate)
+        << "key " << k;
+    EXPECT_EQ(t.Lookup(k).has_value(),
+              where != RdmaHashTable::Placed::kNowhere)
+        << "key " << k;
+  }
+}
+
+// PutPattern's bytes are PatternByte(key, i), across the 256-byte lap.
+TEST_F(TableTest, PutPatternWritesPatternBytes) {
+  RdmaHashTable t(bed.server, {.buckets = 1024});
+  ValueHeap heap(bed.server, 1 << 16);
+  for (const std::uint64_t key : {1ULL, 200ULL, 255ULL, 256ULL + 7}) {
+    for (const std::uint32_t len : {1u, 255u, 256u, 257u, 700u}) {
+      const std::uint64_t ptr = kv::PutPattern(t, heap, key, len);
+      const auto* p = reinterpret_cast<const std::uint8_t*>(ptr);
+      for (std::uint32_t i = 0; i < len; ++i) {
+        ASSERT_EQ(p[i], kv::PatternByte(key, i))
+            << "key " << key << " len " << len << " byte " << i;
+      }
+    }
   }
 }
 

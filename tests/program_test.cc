@@ -1,6 +1,9 @@
 // Tests for the RedN program builder and the `if` construct (Fig 4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "redn/program.h"
 #include "testbed.h"
 
@@ -169,6 +172,64 @@ TEST_F(ProgramTest, WaitAndEnableAreUnsignaledByDefault) {
   prog.Wait(prog.control_cq(), 0);
   prog.Enable(chain, 0);
   EXPECT_EQ(prog.SignalsPosted(prog.control_cq()), 0u);
+}
+
+// SGE tables are carved from shared blocks: tables of mixed sizes that
+// cross block boundaries, and one larger than a block, keep their addresses
+// and contents however many tables are made after them.
+TEST_F(ProgramTest, SgeTablesStayIntactAcrossBlocks) {
+  Program prog(bed.server);
+  struct Made {
+    const rnic::Sge* table;
+    std::size_t n;
+    std::uint64_t tag;
+  };
+  std::vector<Made> made;
+  auto entry = [](std::uint64_t tag, std::size_t j) {
+    return rnic::Sge{tag * 1000 + j, static_cast<std::uint32_t>(j + 1),
+                     static_cast<std::uint32_t>(tag)};
+  };
+  auto make = [&](std::size_t n) {
+    const std::uint64_t tag = made.size() + 1;
+    std::vector<rnic::Sge> sges;
+    for (std::size_t j = 0; j < n; ++j) sges.push_back(entry(tag, j));
+    made.push_back({prog.MakeSgeTable(sges), n, tag});
+  };
+  const std::size_t sizes[] = {1, 3, 4, 7, 2, 16, 5};
+  for (int i = 0; i < 100; ++i) make(sizes[i % 7]);
+  make(Program::kSgeBlock + 9);  // a block of its own
+  make(Program::kSgeBlock);      // exactly one block
+  for (int i = 0; i < 100; ++i) make(sizes[(i + 3) % 7]);
+  rnic::Sge* filled = prog.NewSgeTable(4);
+  for (std::size_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(filled[j].addr, 0u);  // zeroed for the caller to fill
+    filled[j] = entry(9999, j);
+  }
+  for (int i = 0; i < 50; ++i) make(sizes[i % 7]);
+
+  for (const Made& m : made) {
+    for (std::size_t j = 0; j < m.n; ++j) {
+      const rnic::Sge want = entry(m.tag, j);
+      ASSERT_EQ(m.table[j].addr, want.addr) << "table " << m.tag;
+      ASSERT_EQ(m.table[j].length, want.length) << "table " << m.tag;
+      ASSERT_EQ(m.table[j].lkey, want.lkey) << "table " << m.tag;
+    }
+  }
+  for (std::size_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(filled[j].addr, entry(9999, j).addr);
+  }
+  // No two tables overlap.
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> spans;
+  auto span_of = [](const rnic::Sge* t, std::size_t n) {
+    const auto a = reinterpret_cast<std::uintptr_t>(t);
+    return std::pair{a, a + n * sizeof(rnic::Sge)};
+  };
+  for (const Made& m : made) spans.push_back(span_of(m.table, m.n));
+  spans.push_back(span_of(filled, 4));
+  std::sort(spans.begin(), spans.end());
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_LE(spans[i - 1].second, spans[i].first);
+  }
 }
 
 }  // namespace
