@@ -128,10 +128,11 @@ int main(int argc, char** argv) {
   // Unlike the loopback fanout bench, every trigger and response here
   // crosses the client<->server shard boundary, so this section exercises
   // the conservative sync end to end: lookahead windows, mailbox merges,
-  // and rerun determinism under real threads. Simulated results are not
-  // compared against the single-domain run — same-instant RX reservations
-  // can legally merge in a different order (docs/PARSIM.md) — but the
-  // sharded run must reproduce itself bit for bit.
+  // and rerun determinism under real threads. The fabric verbs take the
+  // same SendTo legs on one domain as across shards, and at 2 and 4 shards
+  // the measured gets/s and latency equal the single-domain run's
+  // (docs/PARSIM.md); the gate here is that the sharded run reproduces
+  // itself bit for bit, since seed x shards is the determinism key.
   if (shards >= 2) {
     workload::FabricScaleConfig scfg;
     scfg.clients = max_clients;

@@ -497,7 +497,7 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
     case Opcode::kSend:
     case Opcode::kSendImm: {
       // A cross-shard peer's alive flag is the responder shard's state; the
-      // check runs there (SendAcrossFabric) and comes back as a NAK.
+      // check runs there (SendOverFabric) and comes back as a NAK.
       if (peer == nullptr || (!CrossShard(peer) && !peer->alive)) {
         FailWr(wq, img, t_issue, WcStatus::kRemoteAccessError);
         payloads_.Release(pl);
@@ -512,68 +512,31 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
       const std::uint64_t len = pl->bytes.size();
       const sim::Nanos pcie_done = pcie_.Reserve(t_issue, len);
       const sim::Nanos mem_done = membw_.Reserve(t_issue, len);
-      if (via_fabric && qp->transport != nullptr) {
-        const sim::Nanos ready = std::max(
-            {t_issue + ExecCost(op) + HostDataDelay(len), pcie_done, mem_done});
-        SendOverTransport(wq, qp, peer, pl, op, ready);
-        return;
-      }
-      sim::Nanos t_arrive;
       if (via_fabric) {
         // Egress waits for the host-side DMA, then the payload queues
         // through the shared links (src TX, then dst RX — the congested
         // server port under N-client load).
         const sim::Nanos ready = std::max(
             {t_issue + ExecCost(op) + HostDataDelay(len), pcie_done, mem_done});
-        if (CrossShard(peer)) {
-          SendAcrossFabric(wq, qp, peer, pl, ready);
-          return;
-        }
-        t_arrive = FabricDeliver(qp, peer, ready, len);
-      } else {
-        const sim::Nanos link_done =
-            wire ? port.link.Reserve(t_issue, len) : t_issue;
-        t_arrive = std::max({t_issue + ExecCost(op) +
-                                 DataDelay(len, wire ? &port.link : nullptr),
-                             pcie_done, mem_done, link_done}) +
-                   ow;
+        qp->transport ? SendOverTransport(wq, qp, peer, pl, op, ready)
+                      : SendOverFabric(wq, qp, peer, pl, ready, ow);
+        return;
       }
+      const sim::Nanos link_done =
+          wire ? port.link.Reserve(t_issue, len) : t_issue;
+      const sim::Nanos t_arrive =
+          std::max({t_issue + ExecCost(op) +
+                        DataDelay(len, wire ? &port.link : nullptr),
+                    pcie_done, mem_done, link_done}) +
+          ow;
       const sim::Nanos ack = wire ? ow + cal_.remote_ack_extra : 0;
-      sim_.At(t_arrive, [this, &wq, qp, peer, pl, op, ack] {
-        const WqeImage& img = pl->img;
-        const std::uint64_t len = pl->bytes.size();
+      sim_.At(t_arrive, [this, &wq, peer, pl, ack] {
         if (wq.error) {  // QP flushed after an earlier failure
           payloads_.Release(pl);
           return;
         }
-        WcStatus st = WcStatus::kSuccess;
-        if (!peer->alive) {
-          st = WcStatus::kRemoteAccessError;
-        } else if (op == Opcode::kWrite || op == Opcode::kWriteImm) {
-          st = peer->device->AcceptWrite(peer, img.remote_addr, img.rkey,
-                                         pl->bytes.data(), len);
-          if (st == WcStatus::kSuccess && op == Opcode::kWriteImm) {
-            st = peer->device->AcceptSend(peer, nullptr, 0, img.imm,
-                                          /*has_imm=*/true, len);
-          }
-        } else {
-          st = peer->device->AcceptSend(
-              peer, pl->bytes.data(), len, img.imm,
-              /*has_imm=*/op == Opcode::kSendImm, len);
-        }
-        if (!qp->alive) {
-          payloads_.Release(pl);
-          return;
-        }
-        if (st != WcStatus::kSuccess && st != WcStatus::kRnrError) {
-          // Remote failure: the QP enters error state immediately at the
-          // responder (NAK); later-arriving WRs of this QP are flushed.
-          wq.error = true;
-          ++counters_.error_completions;
-        }
-        CompleteWr(qp, qp->send_cq, img, sim_.now() + ack, st,
-                   static_cast<std::uint32_t>(len));
-        payloads_.Release(pl);
+        const WcStatus st = peer->device->AcceptPayload(peer, *pl);
+        CompleteSend(wq, pl, st, sim_.now() + ack);
       });
       return;
     }
@@ -583,90 +546,38 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
         payloads_.Release(pl);
         return;
       }
-      if (via_fabric && qp->transport != nullptr) {
-        ReadOverTransport(wq, qp, peer, pl, t_issue, ow);
+      if (via_fabric) {
+        qp->transport ? ReadOverTransport(wq, qp, peer, pl, t_issue, ow)
+                      : ReadOverFabric(wq, qp, peer, pl, t_issue, ow);
         return;
       }
-      if (via_fabric && CrossShard(peer)) {
-        ReadAcrossFabric(wq, qp, peer, pl, t_issue, ow);
-        return;
-      }
-      const sim::Nanos t_req = t_issue + ow;
-      sim_.At(t_req, [this, &wq, qp, peer, pl, ow, wire] {
-        const WqeImage& img = pl->img;
+      sim_.At(t_issue + ow, [this, &wq, qp, peer, pl, ow, wire] {
         if (!qp->alive) {  // requester died: flush silently
           payloads_.Release(pl);
           return;
         }
-        if (!peer->alive) {
-          // Target died mid-flight (the RunFailover window): the request is
-          // NAKed instead of silently dropped — the requester must not hang.
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
-          return;
-        }
+        // A target that died mid-flight (the RunFailover window) NAKs the
+        // request instead of dropping it — the requester must not hang.
         RnicDevice* rdev = peer->device;
-        // Remote read length: with a scatter table, the WQE length field
-        // holds the SGE count, so the byte count is the sum of the entries.
-        std::uint64_t len = img.length;
-        if (img.uses_sge_table()) {
-          SgeScratch sges;
-          ResolveSges(img, sges);
-          len = 0;
-          for (const Sge& sge : sges) len += sge.length;
-        }
-        const MemCheck mc =
-            rdev->pd_.CheckRemote(img.remote_addr, len, img.rkey, kRemoteRead,
-                                  &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
+        const std::uint64_t len = ReadLength(pl->img);
+        const WcStatus st = rdev->CaptureRead(peer, pl->img, len, pl->bytes);
+        if (st != WcStatus::kSuccess) {
+          FailRemoteWr(wq, pl, sim_.now() + ow, st);
           return;
         }
-        // Data is captured at the remote memory *now* (request arrival).
-        if (len > 0) dma::ReadAppend(pl->bytes, img.remote_addr, len);
         const sim::Nanos t_req_now = sim_.now();
-        sim::Nanos t_done;
-        if (qp->via_fabric) {
-          // The response DMA happens at the responder: its PCIe/memory are
-          // what the transfer occupies, so N-client read scale-out contends
-          // on the server's host interface, not each requester's own.
-          const sim::Nanos pcie_done = rdev->pcie_.Reserve(t_req_now, len);
-          const sim::Nanos mem_done = rdev->membw_.Reserve(t_req_now, len);
-          const sim::Nanos ready = std::max(
-              {t_req_now + ExecCost(Opcode::kRead) + rdev->HostDataDelay(len),
-               pcie_done, mem_done});
-          // The response payload rides the responder's TX link back through
-          // the fabric, then pays the requester-side ack turnaround.
-          t_done = FabricDeliver(peer, qp, ready, len) + cal_.remote_ack_extra;
-        } else {
-          sim::BandwidthResource* rlink =
-              wire ? &rdev->ports_[peer->port].link : nullptr;
-          const sim::Nanos link_done =
-              wire ? rlink->Reserve(t_req_now, len) : t_req_now;
-          const sim::Nanos pcie_done = pcie_.Reserve(t_req_now, len);
-          const sim::Nanos mem_done = membw_.Reserve(t_req_now, len);
-          t_done = std::max({t_req_now + ExecCost(Opcode::kRead) +
-                                 DataDelay(len, rlink),
-                             link_done, pcie_done, mem_done}) +
-                   (wire ? ow + cal_.remote_ack_extra : 0);
-        }
-        sim_.At(t_done, [this, &wq, qp, pl] {
-          if (!qp->alive) {
-            payloads_.Release(pl);
-            return;
-          }
-          WcStatus st = WcStatus::kSuccess;
-          if (!ScatterList(wq, pl->slot, pl->img, pl->bytes.data(),
-                           pl->bytes.size(), &st)) {
-            FailWr(wq, pl->img, sim_.now(), st);
-            payloads_.Release(pl);
-            return;
-          }
-          CompleteWr(qp, qp->send_cq, pl->img, sim_.now(), WcStatus::kSuccess,
-                     static_cast<std::uint32_t>(pl->bytes.size()));
-          payloads_.Release(pl);
-        });
+        sim::BandwidthResource* rlink =
+            wire ? &rdev->ports_[peer->port].link : nullptr;
+        const sim::Nanos link_done =
+            wire ? rlink->Reserve(t_req_now, len) : t_req_now;
+        const sim::Nanos pcie_done = pcie_.Reserve(t_req_now, len);
+        const sim::Nanos mem_done = membw_.Reserve(t_req_now, len);
+        const sim::Nanos t_done =
+            std::max({t_req_now + ExecCost(Opcode::kRead) +
+                          DataDelay(len, rlink),
+                      link_done, pcie_done, mem_done}) +
+            (wire ? ow + cal_.remote_ack_extra : 0);
+        sim_.At(t_done, [this, &wq, pl] { CompleteRead(wq, pl); });
       });
       return;
     }
@@ -679,116 +590,31 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
         payloads_.Release(pl);
         return;
       }
-      // If the peer dies before the RMW event runs, the completion below
-      // must observe that the op never executed (rmw_done stays false) and
-      // flush instead of reporting a success that touched nothing.
+      // If the peer dies before the RMW event runs, the completion must
+      // observe that the op never executed (rmw_done stays false) and flush
+      // instead of reporting a success that touched nothing.
       pl->scratch = 0;
       pl->rmw_done = false;
-      if (via_fabric && CrossShard(peer)) {
-        AtomicAcrossFabric(wq, qp, peer, pl, op, t_issue, ow);
+      if (via_fabric) {  // transport QPs too: atomics carry no payload
+        AtomicOverFabric(wq, peer, pl, t_issue, ow);
         return;
       }
-      const sim::Nanos t_req = t_issue + ow;
-      sim_.At(t_req, [this, &wq, qp, peer, pl, op, ow, wire] {
-        const WqeImage& img = pl->img;
+      sim_.At(t_issue + ow, [this, &wq, qp, peer, pl, ow, wire] {
         if (!qp->alive) {  // requester died: flush silently
           payloads_.Release(pl);
           return;
         }
-        if (!peer->alive) {
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
+        sim::Nanos unit_done = 0;
+        const WcStatus st = peer->device->StartAtomic(peer, pl, &unit_done);
+        if (st != WcStatus::kSuccess) {
+          FailRemoteWr(wq, pl, sim_.now() + ow, st);
           return;
         }
-        RnicDevice* rdev = peer->device;
-        const MemCheck mc = rdev->pd_.CheckRemote(
-            img.remote_addr, 8, img.rkey, kRemoteAtomic, &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kRemoteAccessError);
-          payloads_.Release(pl);
-          return;
-        }
-        if (img.remote_addr % 8 != 0) {
-          FailWr(wq, img, sim_.now() + ow, WcStatus::kAlignmentError);
-          payloads_.Release(pl);
-          return;
-        }
-        // True atomics (CAS/ADD) serialize on the responder port's atomic
-        // unit (PCIe concurrency control) — this is what limits CAS to
-        // 8.4M/s. Vendor calc verbs (MAX/MIN) are not atomic RMWs on the
-        // host bus and run at copy-verb rates (Table 3: MAX 63M/s).
-        const bool true_atomic =
-            op == Opcode::kCompSwap || op == Opcode::kFetchAdd;
-        auto& unit = rdev->ports_[peer->port].atomic_unit;
-        const sim::Nanos unit_done =
-            true_atomic
-                ? unit.Reserve(sim_.now(), rdev->cal_.atomic_unit_service)
-                : sim_.now() + rdev->cal_.atomic_unit_service;
-        // The RMW event below never releases `pl`; the completion event at
-        // t_done >= unit_done (scheduled after it, so also later in FIFO
-        // order at equal times) owns the release.
-        sim_.At(unit_done, [pl, op, peer] {
-          if (!peer->alive) return;  // died mid-flight: memory stays untouched
-          pl->rmw_done = true;
-          const WqeImage& img = pl->img;
-          const std::uint64_t cur = dma::ReadU64(img.remote_addr);
-          pl->scratch = cur;
-          std::uint64_t next = cur;
-          switch (op) {
-            case Opcode::kCompSwap:
-              if (cur == img.compare_add) next = img.swap;
-              break;
-            case Opcode::kFetchAdd:
-              next = cur + img.compare_add;
-              break;
-            case Opcode::kCalcMax:
-              next = std::max(cur, img.compare_add);
-              break;
-            case Opcode::kCalcMin:
-              next = std::min(cur, img.compare_add);
-              break;
-            default:
-              break;
-          }
-          dma::WriteU64(img.remote_addr, next);
-          // The RedN conditional: atomics landing on WQE fields are the
-          // canonical self-modification, so the write-through refresh here
-          // is what keeps recycled chain rings hitting the cache.
-          peer->device->NoteDmaWrite(img.remote_addr, 8);
-        });
-        const sim::Nanos t_done =
-            unit_done + ExecCost(op) + (wire ? ow + cal_.remote_ack_extra : 0);
-        sim_.At(t_done, [this, &wq, qp, pl] {
-          if (!qp->alive) {
-            payloads_.Release(pl);
-            return;
-          }
-          if (!pl->rmw_done) {
-            // The target died between the protection check and the RMW: the
-            // op never executed, so a success completion would lie about
-            // remote memory. NAK and flush instead.
-            FailWr(wq, pl->img, sim_.now(), WcStatus::kRemoteAccessError);
-            payloads_.Release(pl);
-            return;
-          }
-          // Return the old value into the local sge, if one was given.
-          if (pl->img.local_addr != 0) {
-            WcStatus st = WcStatus::kSuccess;
-            const std::byte* bytes =
-                reinterpret_cast<const std::byte*>(&pl->scratch);
-            WqeImage resp = pl->img;
-            resp.length = 8;
-            resp.flags &= ~kFlagSgeTable;
-            if (!ScatterList(wq, pl->slot, resp, bytes, 8, &st)) {
-              FailWr(wq, pl->img, sim_.now(), st);
-              payloads_.Release(pl);
-              return;
-            }
-          }
-          CompleteWr(qp, qp->send_cq, pl->img, sim_.now(), WcStatus::kSuccess,
-                     8);
-          payloads_.Release(pl);
-        });
+        // The completion event at t_done >= unit_done (scheduled after the
+        // RMW, so also later in FIFO order at equal times) owns the release.
+        const sim::Nanos t_done = unit_done + ExecCost(pl->img.opcode()) +
+                                  (wire ? ow + cal_.remote_ack_extra : 0);
+        sim_.At(t_done, [this, &wq, pl] { CompleteAtomic(wq, pl); });
       });
       return;
     }
@@ -798,6 +624,291 @@ void RnicDevice::ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
       return;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Verb halves shared by every wire mode (see device.h).
+// ---------------------------------------------------------------------------
+
+WcStatus RnicDevice::AcceptPayload(QueuePair* dst_qp, const Payload& pl) {
+  const WqeImage& img = pl.img;
+  const std::size_t len = pl.bytes.size();
+  if (img.opcode() == Opcode::kSend || img.opcode() == Opcode::kSendImm) {
+    return AcceptSend(dst_qp, pl.bytes.data(), len, img.imm,
+                      /*has_imm=*/img.opcode() == Opcode::kSendImm, len);
+  }
+  // No path may ever land bytes in a dead process's memory (its pages are
+  // being reclaimed — see KillProcessResources).
+  if (!dst_qp->alive) return WcStatus::kRemoteAccessError;
+  const MemCheck mc = pd_.CheckRemote(img.remote_addr, len, img.rkey,
+                                      kRemoteWrite, &dst_qp->remote_mr_cache);
+  if (mc != MemCheck::kOk) return WcStatus::kRemoteAccessError;
+  if (len > 0) {
+    dma::Write(img.remote_addr, pl.bytes.data(), len);
+    NoteDmaWrite(img.remote_addr, len);
+  }
+  return img.opcode() == Opcode::kWriteImm
+             ? AcceptSend(dst_qp, nullptr, 0, img.imm, /*has_imm=*/true, len)
+             : WcStatus::kSuccess;
+}
+
+std::uint64_t RnicDevice::ReadLength(const WqeImage& img) const {
+  // With a scatter table, the WQE length field holds the SGE count, so the
+  // byte count is the sum of the entries.
+  if (!img.uses_sge_table()) return img.length;
+  SgeScratch sges;
+  ResolveSges(img, sges);
+  std::uint64_t len = 0;
+  for (const Sge& sge : sges) len += sge.length;
+  return len;
+}
+
+WcStatus RnicDevice::CaptureRead(QueuePair* src_qp, const WqeImage& img,
+                                 std::uint64_t len, std::vector<std::byte>& out) {
+  if (!src_qp->alive) return WcStatus::kRemoteAccessError;
+  const MemCheck mc = pd_.CheckRemote(img.remote_addr, len, img.rkey,
+                                      kRemoteRead, &src_qp->remote_mr_cache);
+  if (mc != MemCheck::kOk) return WcStatus::kRemoteAccessError;
+  // Data is captured at the remote memory *now* (request arrival).
+  if (len > 0) dma::ReadAppend(out, img.remote_addr, len);
+  return WcStatus::kSuccess;
+}
+
+WcStatus RnicDevice::StartAtomic(QueuePair* dst_qp, Payload* pl,
+                                 sim::Nanos* unit_done) {
+  const WqeImage& img = pl->img;
+  if (!dst_qp->alive) return WcStatus::kRemoteAccessError;
+  const MemCheck mc = pd_.CheckRemote(img.remote_addr, 8, img.rkey,
+                                      kRemoteAtomic, &dst_qp->remote_mr_cache);
+  if (mc != MemCheck::kOk) return WcStatus::kRemoteAccessError;
+  if (img.remote_addr % 8 != 0) return WcStatus::kAlignmentError;
+  // True atomics (CAS/ADD) serialize on the responder port's atomic unit
+  // (PCIe concurrency control) — this is what limits CAS to 8.4M/s. Vendor
+  // calc verbs (MAX/MIN) are not atomic RMWs on the host bus and run at
+  // copy-verb rates (Table 3: MAX 63M/s).
+  const Opcode op = img.opcode();
+  const bool true_atomic = op == Opcode::kCompSwap || op == Opcode::kFetchAdd;
+  *unit_done =
+      true_atomic
+          ? ports_[dst_qp->port].atomic_unit.Reserve(sim_.now(),
+                                                     cal_.atomic_unit_service)
+          : sim_.now() + cal_.atomic_unit_service;
+  // The RMW never releases `pl`: the requester's completion, due at or after
+  // unit_done (and, across shards, in a later round), reads rmw_done and
+  // scratch and owns the release.
+  sim_.At(*unit_done, [this, pl, dst_qp] {
+    if (!dst_qp->alive) return;  // died mid-flight: memory stays untouched
+    pl->rmw_done = true;
+    const WqeImage& img = pl->img;
+    const std::uint64_t cur = dma::ReadU64(img.remote_addr);
+    pl->scratch = cur;
+    std::uint64_t next = cur;
+    switch (img.opcode()) {
+      case Opcode::kCompSwap:
+        if (cur == img.compare_add) next = img.swap;
+        break;
+      case Opcode::kFetchAdd:
+        next = cur + img.compare_add;
+        break;
+      case Opcode::kCalcMax:
+        next = std::max(cur, img.compare_add);
+        break;
+      case Opcode::kCalcMin:
+        next = std::min(cur, img.compare_add);
+        break;
+      default:
+        break;
+    }
+    dma::WriteU64(img.remote_addr, next);
+    // The RedN conditional: atomics landing on WQE fields are the canonical
+    // self-modification, so the write-through refresh here is what keeps
+    // recycled chain rings hitting the cache.
+    NoteDmaWrite(img.remote_addr, 8);
+  });
+  return WcStatus::kSuccess;
+}
+
+void RnicDevice::CompleteSend(WorkQueue& wq, Payload* pl, WcStatus st,
+                              sim::Nanos t_cqe) {
+  QueuePair* qp = wq.qp();
+  if (wq.error || !qp->alive) {  // flushed / requester died
+    payloads_.Release(pl);
+    return;
+  }
+  if (st != WcStatus::kSuccess && st != WcStatus::kRnrError) {
+    // Remote failure: the responder NAKed, so the QP enters error state and
+    // later WRs of this QP are flushed.
+    wq.error = true;
+    ++counters_.error_completions;
+  }
+  CompleteWr(qp, qp->send_cq, pl->img, t_cqe, st,
+             static_cast<std::uint32_t>(pl->bytes.size()));
+  payloads_.Release(pl);
+}
+
+void RnicDevice::ScatterReadResponse(WorkQueue& wq, std::uint64_t slot,
+                                     const WqeImage& img,
+                                     const std::vector<std::byte>& bytes,
+                                     sim::Nanos t_cqe) {
+  WcStatus st = WcStatus::kSuccess;
+  if (!ScatterList(wq, slot, img, bytes.data(), bytes.size(), &st)) {
+    FailWr(wq, img, sim_.now(), st);
+    return;
+  }
+  CompleteWr(wq.qp(), wq.qp()->send_cq, img, t_cqe, WcStatus::kSuccess,
+             static_cast<std::uint32_t>(bytes.size()));
+}
+
+void RnicDevice::CompleteRead(WorkQueue& wq, Payload* pl) {
+  if (wq.qp()->alive) {
+    ScatterReadResponse(wq, pl->slot, pl->img, pl->bytes, sim_.now());
+  }
+  payloads_.Release(pl);
+}
+
+void RnicDevice::CompleteAtomic(WorkQueue& wq, Payload* pl) {
+  QueuePair* qp = wq.qp();
+  if (!qp->alive) {
+    payloads_.Release(pl);
+    return;
+  }
+  if (!pl->rmw_done) {
+    // The target died between the protection check and the RMW: the op
+    // never executed, so a success completion would lie about remote
+    // memory. NAK and flush instead.
+    FailWr(wq, pl->img, sim_.now(), WcStatus::kRemoteAccessError);
+    payloads_.Release(pl);
+    return;
+  }
+  // Return the old value into the local sge, if one was given.
+  if (pl->img.local_addr != 0) {
+    WcStatus st = WcStatus::kSuccess;
+    WqeImage resp = pl->img;
+    resp.length = 8;
+    resp.flags &= ~kFlagSgeTable;
+    if (!ScatterList(wq, pl->slot, resp,
+                     reinterpret_cast<const std::byte*>(&pl->scratch), 8,
+                     &st)) {
+      FailWr(wq, pl->img, sim_.now(), st);
+      payloads_.Release(pl);
+      return;
+    }
+  }
+  CompleteWr(qp, qp->send_cq, pl->img, sim_.now(), WcStatus::kSuccess, 8);
+  payloads_.Release(pl);
+}
+
+void RnicDevice::FailRemoteWr(WorkQueue& wq, Payload* pl, sim::Nanos t,
+                              WcStatus st) {
+  if (wq.qp()->alive) FailWr(wq, pl->img, t, st);  // dead: flush silently
+  payloads_.Release(pl);
+}
+
+// ---------------------------------------------------------------------------
+// Fabric data paths: one request/response protocol for any placement (see
+// device.h and docs/PARSIM.md).
+// ---------------------------------------------------------------------------
+
+void RnicDevice::SendOverFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
+                                Payload* pl, sim::Nanos ready, sim::Nanos ow) {
+  const FabricAttach& s = fabric_ports_[qp->port];
+  const FabricAttach& d = peer->device->fabric_ports_[peer->port];
+  sim::Fabric* fab = s.fabric;
+  const sim::Nanos t_port =
+      fab->ReserveTx(s.endpoint, ready, pl->bytes.size()) + ow;
+  const int src_shard = sim_.shard();
+  sim_.SendTo(
+      peer->device->sim_.shard(), t_port,
+      [this, &wq, peer, pl, fab, dep = d.endpoint, ow, src_shard] {
+        sim::Simulator& dsim = peer->device->sim_;
+        const sim::Nanos t_arrive =
+            fab->ReserveRx(dep, dsim.now(), pl->bytes.size());
+        dsim.At(t_arrive, [this, &wq, peer, pl, ow, src_shard] {
+          RnicDevice* rdev = peer->device;
+          const WcStatus st = rdev->AcceptPayload(peer, *pl);
+          rdev->sim_.SendTo(src_shard,
+                            rdev->sim_.now() + ow + cal_.remote_ack_extra,
+                            [this, &wq, pl, st] {
+                              CompleteSend(wq, pl, st, sim_.now());
+                            });
+        });
+      });
+}
+
+void RnicDevice::ReadOverFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
+                                Payload* pl, sim::Nanos t_issue,
+                                sim::Nanos ow) {
+  // The SGE-table byte count resolves here, at issue on the requester's
+  // domain — the table lives in requester host memory, which the responder
+  // must never read across a shard boundary.
+  const std::uint64_t len = ReadLength(pl->img);
+  const int src_shard = sim_.shard();
+  sim_.SendTo(
+      peer->device->sim_.shard(), t_issue + ow,
+      [this, &wq, qp, peer, pl, ow, len, src_shard] {
+        RnicDevice* rdev = peer->device;
+        sim::Simulator& dsim = rdev->sim_;
+        const WcStatus st = rdev->CaptureRead(peer, pl->img, len, pl->bytes);
+        if (st != WcStatus::kSuccess) {
+          dsim.SendTo(src_shard, dsim.now() + ow, [this, &wq, pl, st] {
+            FailRemoteWr(wq, pl, sim_.now(), st);
+          });
+          return;
+        }
+        // The response DMA happens at the responder: its PCIe/memory are
+        // what the transfer occupies, so N-client read scale-out contends
+        // on the server's host interface, not each requester's own.
+        const sim::Nanos now = dsim.now();
+        const sim::Nanos pcie_done = rdev->pcie_.Reserve(now, len);
+        const sim::Nanos mem_done = rdev->membw_.Reserve(now, len);
+        const sim::Nanos ready =
+            std::max({now + rdev->ExecCost(Opcode::kRead) +
+                          rdev->HostDataDelay(len),
+                      pcie_done, mem_done});
+        // The response payload rides the responder's TX pipe back, then
+        // pays the requester-side ack turnaround.
+        const FabricAttach& rs = rdev->fabric_ports_[peer->port];
+        sim::Fabric* fab = rs.fabric;
+        const sim::Nanos t_port = fab->ReserveTx(rs.endpoint, ready, len) + ow;
+        dsim.SendTo(
+            src_shard, t_port,
+            [this, &wq, pl, fab, dep = fabric_ports_[qp->port].endpoint] {
+              const sim::Nanos t_done =
+                  fab->ReserveRx(dep, sim_.now(), pl->bytes.size()) +
+                  cal_.remote_ack_extra;
+              sim_.At(t_done, [this, &wq, pl] { CompleteRead(wq, pl); });
+            });
+      });
+}
+
+void RnicDevice::AtomicOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
+                                  sim::Nanos t_issue, sim::Nanos ow) {
+  const int src_shard = sim_.shard();
+  sim_.SendTo(
+      peer->device->sim_.shard(), t_issue + ow,
+      [this, &wq, peer, pl, ow, src_shard] {
+        RnicDevice* rdev = peer->device;
+        sim::Simulator& dsim = rdev->sim_;
+        sim::Nanos unit_done = 0;
+        const WcStatus st = rdev->StartAtomic(peer, pl, &unit_done);
+        if (st != WcStatus::kSuccess) {
+          dsim.SendTo(src_shard, dsim.now() + ow, [this, &wq, pl, st] {
+            FailRemoteWr(wq, pl, sim_.now(), st);
+          });
+          return;
+        }
+        // Due >= unit_done + lookahead: across shards the requester reads
+        // rmw_done/scratch in a strictly later round, after a barrier.
+        const sim::Nanos t_done = unit_done +
+                                  rdev->ExecCost(pl->img.opcode()) + ow +
+                                  cal_.remote_ack_extra;
+        dsim.SendTo(src_shard, t_done,
+                    [this, &wq, pl] { CompleteAtomic(wq, pl); });
+      });
+}
+
+// ---------------------------------------------------------------------------
+// Transport data paths (QPs connected with ConnectOverTransport).
+// ---------------------------------------------------------------------------
 
 void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* qp,
                                    QueuePair* peer, Payload* pl, Opcode op,
@@ -832,53 +943,19 @@ void RnicDevice::SendOverTransport(WorkQueue& wq, QueuePair* qp,
   // the requester's shard. Delivered bytes land in the responder's memory
   // even if the requester's WQ flushed mid-flight — the responder cannot
   // observe that, which is what a real NIC does too.
-  ops.on_deliver =
-      [peer, pl, op](sim::Nanos) {
-        const std::uint64_t len = pl->bytes.size();
-        WcStatus st = WcStatus::kSuccess;
-        if (!peer->alive) {
-          st = WcStatus::kRemoteAccessError;
-        } else if (op == Opcode::kWrite || op == Opcode::kWriteImm) {
-          st = peer->device->AcceptWrite(peer, pl->img.remote_addr,
-                                         pl->img.rkey, pl->bytes.data(),
-                                         len);
-          if (st == WcStatus::kSuccess && op == Opcode::kWriteImm) {
-            st = peer->device->AcceptSend(peer, nullptr, 0, pl->img.imm,
-                                          /*has_imm=*/true, len);
-          }
-        } else {
-          st = peer->device->AcceptSend(peer, pl->bytes.data(), len,
-                                        pl->img.imm,
-                                        /*has_imm=*/op == Opcode::kSendImm,
-                                        len);
-        }
-        pl->st = st;
-      };
-  ops.on_acked =
-      [this, &wq, qp, pl](sim::Nanos) {
-        if (wq.error || !qp->alive) {
-          payloads_.Release(pl);
-          return;
-        }
-        if (pl->st != WcStatus::kSuccess && pl->st != WcStatus::kRnrError) {
-          // Remote failure surfaces at the ACK (the NAK's arrival) on this
-          // shard; later WRs of this QP flush from here on.
-          wq.error = true;
-          ++counters_.error_completions;
-        }
-        CompleteWr(qp, qp->send_cq, pl->img,
-                   sim_.now() + cal_.remote_ack_extra, pl->st,
-                   static_cast<std::uint32_t>(pl->bytes.size()));
-        payloads_.Release(pl);
-      };
+  ops.on_deliver = [peer, pl](sim::Nanos) {
+    pl->st = peer->device->AcceptPayload(peer, *pl);
+  };
+  // Remote failure surfaces at the ACK (the NAK's arrival) on this shard.
+  ops.on_acked = [this, &wq, pl](sim::Nanos) {
+    CompleteSend(wq, pl, pl->st, sim_.now() + cal_.remote_ack_extra);
+  };
   ops.on_failed =
       [this, qp, pl, rg](sim::Nanos t, sim::MsgFailure why) {
-        if (!qp->alive || qp->state == QpState::kReset ||
-            qp->reset_gen != rg) {
-          payloads_.Release(pl);
-          return;
+        if (qp->alive && qp->state != QpState::kReset &&
+            qp->reset_gen == rg) {
+          FailQpOverTransport(qp, pl->img, t, StatusOf(why));
         }
-        FailQpOverTransport(qp, pl->img, t, StatusOf(why));
         payloads_.Release(pl);
       };
   qp->transport->SendMessageEx(qp->flow, ready, pl->bytes.size(),
@@ -912,13 +989,7 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* qp,
   // Resolve the SGE table at issue, on the requester's shard: the table
   // lives in requester memory, and reading it from the responder's shard
   // would race with requester-side chain rewrites.
-  ctx->len = ctx->img.length;
-  if (ctx->img.uses_sge_table()) {
-    SgeScratch sges;
-    ResolveSges(ctx->img, sges);
-    ctx->len = 0;
-    for (const Sge& sge : sges) ctx->len += sge.length;
-  }
+  ctx->len = ReadLength(ctx->img);
   const std::uint64_t rg = qp->reset_gen;
   const int req_shard = sim_.shard();
   sim::Transport::MessageOps req;
@@ -931,39 +1002,26 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* qp,
         RnicDevice* rdev = peer->device;
         sim::Simulator& dsim = rdev->sim_;
         const sim::Nanos dnow = dsim.now();
-        if (!peer->alive) {
+        const std::uint64_t len = ctx->len;
+        const WcStatus st = rdev->CaptureRead(peer, ctx->img, len, ctx->bytes);
+        if (st != WcStatus::kSuccess) {
           // Protection and dead-peer NAKs return as constant-latency control
           // messages (`ow`): they are tiny, generated unconditionally by the
           // responder, and the requester must never hang on them — so they
           // bypass the loss injector, while the request and the
           // data-bearing response ride the lossy packetized flows.
-          dsim.SendTo(req_shard, dnow + ow, [this, &wq, qp, ctx] {
+          dsim.SendTo(req_shard, dnow + ow, [this, &wq, qp, ctx, st] {
             if (ctx->resolved || !qp->alive) return;
             ctx->resolved = true;
-            FailWr(wq, ctx->img, sim_.now(), WcStatus::kRemoteAccessError);
+            FailWr(wq, ctx->img, sim_.now(), st);
           });
           return;
         }
         const std::uint64_t prg = peer->reset_gen;
-        const WqeImage& img = ctx->img;
-        const std::uint64_t len = ctx->len;
-        const MemCheck mc =
-            rdev->pd_.CheckRemote(img.remote_addr, len, img.rkey, kRemoteRead,
-                                  &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          dsim.SendTo(req_shard, dnow + ow, [this, &wq, qp, ctx] {
-            if (ctx->resolved || !qp->alive) return;
-            ctx->resolved = true;
-            FailWr(wq, ctx->img, sim_.now(), WcStatus::kRemoteAccessError);
-          });
-          return;
-        }
-        // Data captured at the remote memory now (request delivery).
-        if (len > 0) dma::ReadAppend(ctx->bytes, img.remote_addr, len);
         const sim::Nanos pcie_done = rdev->pcie_.Reserve(dnow, len);
         const sim::Nanos mem_done = rdev->membw_.Reserve(dnow, len);
         const sim::Nanos ready = std::max(
-            {dnow + ExecCost(Opcode::kRead) + rdev->HostDataDelay(len),
+            {dnow + rdev->ExecCost(Opcode::kRead) + rdev->HostDataDelay(len),
              pcie_done, mem_done});
         sim::Transport::MessageOps resp;
         resp.on_deliver =
@@ -971,16 +1029,8 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* qp,
               // Back on the requester's shard.
               if (ctx->resolved || !qp->alive) return;
               ctx->resolved = true;
-              WcStatus st = WcStatus::kSuccess;
-              if (!ScatterList(wq, ctx->slot, ctx->img, ctx->bytes.data(),
-                               ctx->bytes.size(), &st)) {
-                FailWr(wq, ctx->img, sim_.now(), st);
-                return;
-              }
-              CompleteWr(qp, qp->send_cq, ctx->img,
-                         sim_.now() + cal_.remote_ack_extra,
-                         WcStatus::kSuccess,
-                         static_cast<std::uint32_t>(ctx->bytes.size()));
+              ScatterReadResponse(wq, ctx->slot, ctx->img, ctx->bytes,
+                                  sim_.now() + cal_.remote_ack_extra);
             };
         resp.on_failed =
             [this, qp, peer, ctx, ow, rg, prg, req_shard](
@@ -1019,23 +1069,6 @@ void RnicDevice::ReadOverTransport(WorkQueue& wq, QueuePair* qp,
       };
   qp->transport->SendMessageEx(qp->flow, t_issue, kReadRequestBytes,
                                std::move(req));
-}
-
-WcStatus RnicDevice::AcceptWrite(QueuePair* dst_qp, std::uint64_t addr,
-                                 std::uint32_t rkey, const std::byte* data,
-                                 std::size_t len) {
-  // Defence in depth: callers check liveness at arrival time, but no path
-  // may ever land bytes in a dead process's memory (its pages are being
-  // reclaimed — see KillProcessResources).
-  if (!dst_qp->alive) return WcStatus::kRemoteAccessError;
-  const MemCheck mc = pd_.CheckRemote(addr, len, rkey, kRemoteWrite,
-                                      &dst_qp->remote_mr_cache);
-  if (mc != MemCheck::kOk) return WcStatus::kRemoteAccessError;
-  if (len > 0) {
-    dma::Write(addr, data, len);
-    NoteDmaWrite(addr, len);
-  }
-  return WcStatus::kSuccess;
 }
 
 WcStatus RnicDevice::AcceptSend(QueuePair* dst_qp, const std::byte* data,
@@ -1317,269 +1350,6 @@ sim::Nanos RnicDevice::FabricOneWay(const QueuePair* from,
   const FabricAttach& s = from->device->fabric_ports_[from->port];
   const FabricAttach& d = to->device->fabric_ports_[to->port];
   return s.fabric->OneWay(s.endpoint, d.endpoint);
-}
-
-sim::Nanos RnicDevice::FabricDeliver(const QueuePair* from, const QueuePair* to,
-                                     sim::Nanos t, std::uint64_t bytes) {
-  const FabricAttach& s = from->device->fabric_ports_[from->port];
-  const FabricAttach& d = to->device->fabric_ports_[to->port];
-  return s.fabric->Deliver(s.endpoint, d.endpoint, t, bytes);
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard fabric data paths (see device.h and docs/PARSIM.md).
-//
-// Timing is the same formula as the same-shard paths with Fabric::Deliver
-// split at the shard boundary: the requester reserves TX at `ready`, the
-// responder reserves RX at port arrival (TX-done + one-way propagation).
-// The only semantic shifts, both confined to fault scenarios: requester-
-// side abort checks (wq.error, qp->alive) run at the ACK instant instead
-// of at arrival (the requester cannot read them from the responder's
-// thread), and ExecCost jitter for READ/atomic responses draws from the
-// responder's per-device stream (jitter is off by default, so the default
-// timing is identical).
-// ---------------------------------------------------------------------------
-
-void RnicDevice::SendAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                                  Payload* pl, sim::Nanos ready) {
-  const FabricAttach& s = fabric_ports_[qp->port];
-  const FabricAttach& d = peer->device->fabric_ports_[peer->port];
-  sim::Fabric* fab = s.fabric;
-  const std::uint64_t len = pl->bytes.size();
-  const sim::Nanos ow = fab->OneWay(s.endpoint, d.endpoint);
-  const sim::Nanos t_port = fab->ReserveTx(s.endpoint, ready, len) + ow;
-  RnicDevice* rdev = peer->device;
-  const int src_shard = sim_.shard();
-  sim_.SendTo(
-      rdev->sim_.shard(), t_port,
-      [this, &wq, qp, peer, pl, fab, dep = d.endpoint, src_shard] {
-        RnicDevice* rdev = peer->device;
-        sim::Simulator& dsim = rdev->sim_;
-        const std::uint64_t len = pl->bytes.size();
-        const sim::Nanos t_arrive = fab->ReserveRx(dep, dsim.now(), len);
-        dsim.At(t_arrive, [this, &wq, qp, peer, pl, src_shard] {
-          RnicDevice* rdev = peer->device;
-          const Opcode op = pl->img.opcode();
-          const std::uint64_t len = pl->bytes.size();
-          WcStatus st = WcStatus::kSuccess;
-          if (!peer->alive) {
-            st = WcStatus::kRemoteAccessError;
-          } else if (op == Opcode::kWrite || op == Opcode::kWriteImm) {
-            st = rdev->AcceptWrite(peer, pl->img.remote_addr, pl->img.rkey,
-                                   pl->bytes.data(), len);
-            if (st == WcStatus::kSuccess && op == Opcode::kWriteImm) {
-              st = rdev->AcceptSend(peer, nullptr, 0, pl->img.imm,
-                                    /*has_imm=*/true, len);
-            }
-          } else {
-            st = rdev->AcceptSend(peer, pl->bytes.data(), len, pl->img.imm,
-                                  /*has_imm=*/op == Opcode::kSendImm, len);
-          }
-          const sim::Nanos t_ack = rdev->sim_.now() + FabricOneWay(peer, qp) +
-                                   cal_.remote_ack_extra;
-          rdev->sim_.SendTo(src_shard, t_ack, [this, &wq, qp, pl, st] {
-            if (wq.error || !qp->alive) {  // flushed / requester died
-              payloads_.Release(pl);
-              return;
-            }
-            if (st != WcStatus::kSuccess && st != WcStatus::kRnrError) {
-              wq.error = true;
-              ++counters_.error_completions;
-            }
-            CompleteWr(qp, qp->send_cq, pl->img, sim_.now(), st,
-                       static_cast<std::uint32_t>(pl->bytes.size()));
-            payloads_.Release(pl);
-          });
-        });
-      });
-}
-
-void RnicDevice::ReadAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                                  Payload* pl, sim::Nanos t_issue,
-                                  sim::Nanos ow) {
-  // The SGE-table byte count resolves here, at issue on the requester's
-  // shard — the table lives in requester host memory, which the responder
-  // must never read across the boundary.
-  const WqeImage& img = pl->img;
-  std::uint64_t len = img.length;
-  if (img.uses_sge_table()) {
-    SgeScratch sges;
-    ResolveSges(img, sges);
-    len = 0;
-    for (const Sge& sge : sges) len += sge.length;
-  }
-  RnicDevice* rdev = peer->device;
-  const int src_shard = sim_.shard();
-  sim_.SendTo(
-      rdev->sim_.shard(), t_issue + ow,
-      [this, &wq, qp, peer, pl, ow, len, src_shard] {
-        RnicDevice* rdev = peer->device;
-        sim::Simulator& dsim = rdev->sim_;
-        const WqeImage& img = pl->img;
-        const auto nak = [&](WcStatus st) {
-          dsim.SendTo(src_shard, dsim.now() + ow, [this, &wq, qp, pl, st] {
-            if (!qp->alive) {  // requester died: flush silently
-              payloads_.Release(pl);
-              return;
-            }
-            FailWr(wq, pl->img, sim_.now(), st);
-            payloads_.Release(pl);
-          });
-        };
-        if (!peer->alive) {
-          nak(WcStatus::kRemoteAccessError);
-          return;
-        }
-        const MemCheck mc = rdev->pd_.CheckRemote(
-            img.remote_addr, len, img.rkey, kRemoteRead,
-            &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          nak(WcStatus::kRemoteAccessError);
-          return;
-        }
-        if (len > 0) dma::ReadAppend(pl->bytes, img.remote_addr, len);
-        const sim::Nanos t_req_now = dsim.now();
-        const sim::Nanos pcie_done = rdev->pcie_.Reserve(t_req_now, len);
-        const sim::Nanos mem_done = rdev->membw_.Reserve(t_req_now, len);
-        const sim::Nanos ready =
-            std::max({t_req_now + rdev->ExecCost(Opcode::kRead) +
-                          rdev->HostDataDelay(len),
-                      pcie_done, mem_done});
-        const FabricAttach& rs = rdev->fabric_ports_[peer->port];
-        const FabricAttach& rd = fabric_ports_[qp->port];
-        sim::Fabric* fab = rs.fabric;
-        const sim::Nanos t_port = fab->ReserveTx(rs.endpoint, ready, len) + ow;
-        dsim.SendTo(src_shard, t_port,
-                    [this, &wq, qp, pl, fab, dep = rd.endpoint] {
-                      const std::uint64_t rlen = pl->bytes.size();
-                      const sim::Nanos t_done =
-                          fab->ReserveRx(dep, sim_.now(), rlen) +
-                          cal_.remote_ack_extra;
-                      sim_.At(t_done, [this, &wq, qp, pl] {
-                        if (!qp->alive) {
-                          payloads_.Release(pl);
-                          return;
-                        }
-                        WcStatus st = WcStatus::kSuccess;
-                        if (!ScatterList(wq, pl->slot, pl->img,
-                                         pl->bytes.data(), pl->bytes.size(),
-                                         &st)) {
-                          FailWr(wq, pl->img, sim_.now(), st);
-                          payloads_.Release(pl);
-                          return;
-                        }
-                        CompleteWr(qp, qp->send_cq, pl->img, sim_.now(),
-                                   WcStatus::kSuccess,
-                                   static_cast<std::uint32_t>(pl->bytes.size()));
-                        payloads_.Release(pl);
-                      });
-                    });
-      });
-}
-
-void RnicDevice::AtomicAcrossFabric(WorkQueue& wq, QueuePair* qp,
-                                    QueuePair* peer, Payload* pl, Opcode op,
-                                    sim::Nanos t_issue, sim::Nanos ow) {
-  RnicDevice* rdev = peer->device;
-  const int src_shard = sim_.shard();
-  sim_.SendTo(
-      rdev->sim_.shard(), t_issue + ow,
-      [this, &wq, qp, peer, pl, op, ow, src_shard] {
-        RnicDevice* rdev = peer->device;
-        sim::Simulator& dsim = rdev->sim_;
-        const WqeImage& img = pl->img;
-        const auto nak = [&](WcStatus st) {
-          dsim.SendTo(src_shard, dsim.now() + ow, [this, &wq, qp, pl, st] {
-            if (!qp->alive) {
-              payloads_.Release(pl);
-              return;
-            }
-            FailWr(wq, pl->img, sim_.now(), st);
-            payloads_.Release(pl);
-          });
-        };
-        if (!peer->alive) {
-          nak(WcStatus::kRemoteAccessError);
-          return;
-        }
-        const MemCheck mc =
-            rdev->pd_.CheckRemote(img.remote_addr, 8, img.rkey, kRemoteAtomic,
-                                  &peer->remote_mr_cache);
-        if (mc != MemCheck::kOk) {
-          nak(WcStatus::kRemoteAccessError);
-          return;
-        }
-        if (img.remote_addr % 8 != 0) {
-          nak(WcStatus::kAlignmentError);
-          return;
-        }
-        const bool true_atomic =
-            op == Opcode::kCompSwap || op == Opcode::kFetchAdd;
-        auto& unit = rdev->ports_[peer->port].atomic_unit;
-        const sim::Nanos unit_done =
-            true_atomic
-                ? unit.Reserve(dsim.now(), rdev->cal_.atomic_unit_service)
-                : dsim.now() + rdev->cal_.atomic_unit_service;
-        // Same RMW body as the same-shard path; runs on the responder's
-        // shard, which owns the target memory. The completion message below
-        // is due >= unit_done + lookahead, i.e. in a strictly later round,
-        // so the requester reads rmw_done/scratch after a barrier.
-        dsim.At(unit_done, [pl, op, peer] {
-          if (!peer->alive) return;  // died mid-flight: memory stays untouched
-          pl->rmw_done = true;
-          const WqeImage& img = pl->img;
-          const std::uint64_t cur = dma::ReadU64(img.remote_addr);
-          pl->scratch = cur;
-          std::uint64_t next = cur;
-          switch (op) {
-            case Opcode::kCompSwap:
-              if (cur == img.compare_add) next = img.swap;
-              break;
-            case Opcode::kFetchAdd:
-              next = cur + img.compare_add;
-              break;
-            case Opcode::kCalcMax:
-              next = std::max(cur, img.compare_add);
-              break;
-            case Opcode::kCalcMin:
-              next = std::min(cur, img.compare_add);
-              break;
-            default:
-              break;
-          }
-          dma::WriteU64(img.remote_addr, next);
-          peer->device->NoteDmaWrite(img.remote_addr, 8);
-        });
-        const sim::Nanos t_done =
-            unit_done + rdev->ExecCost(op) + ow + cal_.remote_ack_extra;
-        dsim.SendTo(src_shard, t_done, [this, &wq, qp, pl] {
-          if (!qp->alive) {
-            payloads_.Release(pl);
-            return;
-          }
-          if (!pl->rmw_done) {
-            FailWr(wq, pl->img, sim_.now(), WcStatus::kRemoteAccessError);
-            payloads_.Release(pl);
-            return;
-          }
-          if (pl->img.local_addr != 0) {
-            WcStatus st = WcStatus::kSuccess;
-            const std::byte* bytes =
-                reinterpret_cast<const std::byte*>(&pl->scratch);
-            WqeImage resp = pl->img;
-            resp.length = 8;
-            resp.flags &= ~kFlagSgeTable;
-            if (!ScatterList(wq, pl->slot, resp, bytes, 8, &st)) {
-              FailWr(wq, pl->img, sim_.now(), st);
-              payloads_.Release(pl);
-              return;
-            }
-          }
-          CompleteWr(qp, qp->send_cq, pl->img, sim_.now(), WcStatus::kSuccess,
-                     8);
-          payloads_.Release(pl);
-        });
-      });
 }
 
 double RnicDevice::PuUtilisation(int port, sim::Nanos window) const {

@@ -355,10 +355,23 @@ class RnicDevice {
   // path releases it back to the pool when the op retires.
   void ExecuteData(WorkQueue& wq, std::uint64_t idx, Payload* pl,
                    sim::Nanos t_issue);
-  // Packetized-transport variants of the data paths (QP connected with
-  // ConnectOverTransport). Every transport callback runs on the domain of
-  // the half that fires it: on_deliver on the responder's, on_acked/
-  // on_failed on the requester's (the two may be the same domain).
+  // Wire paths of the data verbs for QPs connected over a fabric. Each op
+  // is one request/response protocol for any placement: the requester
+  // reserves its TX pipe and posts at the port instant via SendTo (a plain
+  // At when both devices share a domain); the responder reserves its RX
+  // pipe, runs every responder-side check (liveness, protection, RQ state)
+  // locally, and mails the ACK, NAK or response back. Requester-side state
+  // (wq.error, qp->alive, scatter) is only ever touched on the requester's
+  // domain, at the ACK instant.
+  void SendOverFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
+                      Payload* pl, sim::Nanos ready, sim::Nanos ow);
+  void ReadOverFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
+                      Payload* pl, sim::Nanos t_issue, sim::Nanos ow);
+  void AtomicOverFabric(WorkQueue& wq, QueuePair* peer, Payload* pl,
+                        sim::Nanos t_issue, sim::Nanos ow);
+  // Packetized-transport variants (QP connected with ConnectOverTransport).
+  // Every transport callback runs on the domain of the half that fires it:
+  // on_deliver on the responder's, on_acked/on_failed on the requester's.
   // WRITE/SEND: the gathered payload goes out as one transport message from
   // `ready`; the responder Accept runs at in-order delivery and the
   // requester CQE waits for the cumulative ACK.
@@ -367,6 +380,7 @@ class RnicDevice {
   // requester-side outcome (NAK, scatter, CQE, error latch) hops back via
   // SendTo, and the response data rides a shared bundle instead of the
   // requester's Payload (which stays owned by the request leg).
+  // Atomics carry no payload and take AtomicOverFabric.
   void SendOverTransport(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
                          Payload* pl, Opcode op, sim::Nanos ready);
   void ReadOverTransport(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
@@ -377,22 +391,37 @@ class RnicDevice {
   bool CrossShard(const QueuePair* peer) const {
     return peer != nullptr && &peer->device->sim_ != &sim_;
   }
-  // Cross-shard halves of the fabric data paths (sharded runs only; the
-  // same-shard code above is untouched). Each splits at the shard
-  // boundary: the requester's shard reserves its TX pipe and computes the
-  // port-arrival instant, a SendTo mailbox message carries the op to the
-  // responder's shard (which reserves its own RX pipe and runs every
-  // responder-side check — liveness, protection, RQ state — locally), and
-  // the ACK/NAK/response legs mail back. Requester-side state (wq.error,
-  // qp->alive, scatter) is only ever touched on the requester's shard, at
-  // the ACK instant.
-  void SendAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                        Payload* pl, sim::Nanos ready);
-  void ReadAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                        Payload* pl, sim::Nanos t_issue, sim::Nanos ow);
-  void AtomicAcrossFabric(WorkQueue& wq, QueuePair* qp, QueuePair* peer,
-                          Payload* pl, Opcode op, sim::Nanos t_issue,
-                          sim::Nanos ow);
+
+  // Verb halves shared by the compat, fabric and transport paths. The
+  // responder halves run on the device (and domain) that owns `dst_qp` /
+  // `src_qp`; the requester halves on the requester's.
+  // WRITE/WRITE_IMM/SEND payload accept (remote protection, DMA, RECV).
+  WcStatus AcceptPayload(QueuePair* dst_qp, const Payload& pl);
+  // READ: liveness + protection check, then the DMA capture into `out`.
+  WcStatus CaptureRead(QueuePair* src_qp, const WqeImage& img,
+                       std::uint64_t len, std::vector<std::byte>& out);
+  // Atomics: liveness, protection and alignment checks, then the atomic-
+  // unit reservation and the RMW event at `*unit_done`, which sets
+  // pl->rmw_done and the old value in pl->scratch.
+  WcStatus StartAtomic(QueuePair* dst_qp, Payload* pl, sim::Nanos* unit_done);
+  // Requester side. READ byte count (the SGE table lives in requester
+  // memory).
+  std::uint64_t ReadLength(const WqeImage& img) const;
+  // WRITE/SEND ACK: error latch + CQE at `t_cqe`, unless the WQ flushed or
+  // the requester died. Releases `pl`.
+  void CompleteSend(WorkQueue& wq, Payload* pl, WcStatus st, sim::Nanos t_cqe);
+  // READ response: scatter + CQE at `t_cqe` (FailWr now if the scatter
+  // fails). CompleteRead adds the requester liveness check and the release.
+  void ScatterReadResponse(WorkQueue& wq, std::uint64_t slot,
+                           const WqeImage& img,
+                           const std::vector<std::byte>& bytes,
+                           sim::Nanos t_cqe);
+  void CompleteRead(WorkQueue& wq, Payload* pl);
+  // Atomic response: old-value scatter + CQE, or a NAK when the RMW never
+  // ran. Releases `pl`.
+  void CompleteAtomic(WorkQueue& wq, Payload* pl);
+  // Remote NAK at `t` (silent when the requester died). Releases `pl`.
+  void FailRemoteWr(WorkQueue& wq, Payload* pl, sim::Nanos t, WcStatus st);
   // Snapshots slot `idx` through the translation cache: a verified cached
   // decode is a hit (no reload); anything else decodes and refills. Charges
   // no simulated time itself — callers pay the fetch latency exactly as
@@ -425,11 +454,8 @@ class RnicDevice {
   void FlushQueued(QueuePair* qp);
   static WcStatus StatusOf(sim::MsgFailure why);
 
-  // Incoming traffic from a peer device (or loopback), executed at arrival
-  // time on the responder device.
-  WcStatus AcceptWrite(QueuePair* dst_qp, std::uint64_t addr,
-                       std::uint32_t rkey, const std::byte* data,
-                       std::size_t len);
+  // Consumes one RECV for an incoming SEND or WRITE_IMM, executed at
+  // arrival time on the responder device.
   WcStatus AcceptSend(QueuePair* dst_qp, const std::byte* data,
                       std::size_t len, std::uint32_t imm, bool has_imm,
                       std::size_t reported_len);
@@ -469,13 +495,10 @@ class RnicDevice {
   sim::Nanos DataDelay(std::uint64_t bytes,
                        const sim::BandwidthResource* wire_link) const;
   // Host-side (PCIe + memory) store-and-forward terms only; the wire terms
-  // of a fabric-routed transfer come from Fabric::Deliver instead.
+  // of a fabric-routed transfer come from the fabric's TX/RX pipes instead.
   sim::Nanos HostDataDelay(std::uint64_t bytes) const;
-  // Fabric path helpers: propagation latency between two connected QPs'
-  // endpoints, and a contended delivery reservation `from` -> `to`.
+  // Propagation latency between two fabric-connected QPs' endpoints.
   static sim::Nanos FabricOneWay(const QueuePair* from, const QueuePair* to);
-  static sim::Nanos FabricDeliver(const QueuePair* from, const QueuePair* to,
-                                  sim::Nanos t, std::uint64_t bytes);
 
   std::uint64_t ExecLimitOf(const WorkQueue& wq) const { return wq.exec_limit; }
   void SnapshotRange(WorkQueue& wq, std::uint64_t upto);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/fabric.h"
+#include "sim/sharded.h"
 #include "testbed.h"
 #include "workload/experiments.h"
 
@@ -16,6 +17,15 @@ using verbs::Cqe;
 using verbs::MakeWrite;
 using verbs::PostSendNow;
 
+// One whole transfer the way the device's fabric path makes it: the sender
+// reserves TX at `t`, the bytes propagate, and the receiver reserves RX at
+// the port instant. Returns the instant the last byte arrives.
+sim::Nanos Transfer(sim::Fabric& f, int src, int dst, sim::Nanos t,
+                    std::uint64_t bytes) {
+  return f.ReserveRx(dst, f.ReserveTx(src, t, bytes) + f.OneWay(src, dst),
+                     bytes);
+}
+
 TEST(Fabric, OneWayAndUncontendedDelivery) {
   sim::Fabric f(/*switch_latency=*/10);
   // 8 Gbps = 1 ns/byte keeps the arithmetic legible.
@@ -23,10 +33,10 @@ TEST(Fabric, OneWayAndUncontendedDelivery) {
   const int b = f.Attach({8.0, 100});
   EXPECT_EQ(f.OneWay(a, b), 210);
   // 1000 B: TX serialization 1000, propagation 210, RX serialization 1000.
-  EXPECT_EQ(f.Deliver(a, b, 0, 1000), 2210);
+  EXPECT_EQ(Transfer(f, a, b, 0, 1000), 2210);
   // The pipes are free again by t=10000; a later transfer pays its own
   // serialization on each pipe plus propagation: 10000 + 500 + 210 + 500.
-  EXPECT_EQ(f.Deliver(a, b, 10'000, 500), 11'210);
+  EXPECT_EQ(Transfer(f, a, b, 10'000, 500), 11'210);
 }
 
 TEST(Fabric, ReceiverLinkQueuesConcurrentSenders) {
@@ -36,8 +46,8 @@ TEST(Fabric, ReceiverLinkQueuesConcurrentSenders) {
   const int c = f.Attach({8.0, 100});
   // Two senders, one receiver, both transfers leave at t=0: each serializes
   // its own TX in parallel, but c's RX pipe takes them one after the other.
-  EXPECT_EQ(f.Deliver(a, c, 0, 1000), 2200);
-  EXPECT_EQ(f.Deliver(b, c, 0, 1000), 3200);  // queued behind a's bytes
+  EXPECT_EQ(Transfer(f, a, c, 0, 1000), 2200);
+  EXPECT_EQ(Transfer(f, b, c, 0, 1000), 3200);  // queued behind a's bytes
   EXPECT_GT(f.RxUtilisation(c, 3200), 0.6);
 }
 
@@ -45,17 +55,17 @@ TEST(Fabric, SameSourceSerializesOnItsTxLink) {
   sim::Fabric f;
   const int a = f.Attach({8.0, 0});
   const int b = f.Attach({8.0, 0});
-  EXPECT_EQ(f.Deliver(a, b, 0, 1000), 2000);
+  EXPECT_EQ(Transfer(f, a, b, 0, 1000), 2000);
   // Second transfer from the same source departs only once the TX pipe
   // frees at t=2000, then serializes into RX right behind the first.
-  EXPECT_EQ(f.Deliver(a, b, 0, 1000), 3000);
+  EXPECT_EQ(Transfer(f, a, b, 0, 1000), 3000);
 }
 
 TEST(Fabric, UtilisationTruncatesAtWindowAndNeverExceedsOne) {
   sim::Fabric f;
   const int a = f.Attach({8.0, 0});  // 1 ns/byte
   const int b = f.Attach({8.0, 0});
-  f.Deliver(a, b, 0, 10'000);  // both pipes busy for 10 us
+  Transfer(f, a, b, 0, 10'000);  // both pipes busy for 10 us
   // A window shorter than the accumulated busy time used to report > 1.0;
   // the busy interval is truncated at the window boundary instead.
   EXPECT_EQ(f.TxUtilisation(a, 100), 1.0);  // TX busy solid over [0, 10000]
@@ -163,6 +173,163 @@ TEST_F(FabricBed, TwoClientsContendOnServerRxLink) {
   EXPECT_GT(ser, 20'000);
   EXPECT_GE(t2 - t1, ser / 2) << "no queueing at the shared server link";
 }
+
+// ---------------------------------------------------------------------------
+// Fabric verb path error cases. One request/response protocol serves a peer
+// on the requester's own domain and a peer on another shard, so every case
+// runs at shards = 1 and 2 and must give the same status at the same
+// instant; the 2-shard run drives the mailbox legs.
+// ---------------------------------------------------------------------------
+
+class FabricPathTest : public ::testing::TestWithParam<int> {
+ protected:
+  static constexpr int kClientPid = 1;
+  static constexpr int kServerPid = 2;
+  static constexpr int kSparePid = 3;
+
+  FabricPathTest() {
+    // 8 Gbps = 1 ns/byte; one way = 100 + 50 + 100 ns.
+    client.AttachPort(0, fabric, {8.0, 100});
+    server.AttachPort(0, fabric, {8.0, 100});
+    cqp = MakeQp(client, kClientPid);
+    sqp = MakeQp(server, kServerPid);
+    ConnectOverFabric(cqp, sqp);
+    cmr = client.pd().Register(cbuf.get(), 64, rnic::kAccessAll);
+    smr = server.pd().Register(sbuf.get(), 64, rnic::kAccessAll);
+  }
+
+  static rnic::QueuePair* MakeQp(rnic::RnicDevice& dev, int pid) {
+    rnic::QpConfig c;
+    c.send_cq = dev.CreateCq();
+    c.recv_cq = dev.CreateCq();
+    c.owner_pid = pid;
+    return dev.CreateQp(c);
+  }
+
+  // Kills `pid`'s resources on `dev` at `t`, on the domain `dev` runs on.
+  void KillAt(rnic::RnicDevice& dev, int pid, sim::Nanos t) {
+    dev.sim().At(t, [&dev, pid] { dev.KillProcessResources(pid); });
+  }
+
+  // The instant the first WR posted at t=0 issues: doorbell, first fetch,
+  // then its PU service.
+  sim::Nanos Issue(sim::Nanos pu) const {
+    return cal.doorbell_mmio + cal.first_fetch + pu;
+  }
+  // Port-arrival instant of a `len`-byte WRITE issued first: host DMA, TX,
+  // propagation, RX.
+  sim::Nanos WriteArrival(std::uint64_t len) const {
+    const sim::Nanos host =
+        sim::BandwidthResource(cal.pcie_gbps).SerializationDelay(len) +
+        sim::BandwidthResource(cal.mem_gbps).SerializationDelay(len);
+    return Issue(cal.pu_write) + cal.exec_write + host +
+           static_cast<sim::Nanos>(len) + kOneWay +
+           static_cast<sim::Nanos>(len);
+  }
+
+  // Runs to quiescence; returns how many send CQEs the client got (at most
+  // one is read into `cqe`).
+  int RunAndPoll(Cqe* cqe) {
+    ssim.Run();
+    return verbs::PollCq(cqp, cqp->send_cq, 1, cqe);
+  }
+
+  static constexpr sim::Nanos kOneWay = 250;
+  const rnic::Calibration cal{};
+  sim::ShardedSimulator ssim{GetParam()};
+  sim::Fabric fabric{/*switch_latency=*/50};
+  rnic::RnicDevice client{ssim.shard(0), rnic::NicConfig::ConnectX5(), cal,
+                          "client"};
+  rnic::RnicDevice server{ssim.shard(GetParam() - 1),
+                          rnic::NicConfig::ConnectX5(), cal, "server"};
+  rnic::ZeroedArray<std::byte> cbuf = rnic::MakeZeroed<std::byte>(64);
+  rnic::ZeroedArray<std::byte> sbuf = rnic::MakeZeroed<std::byte>(64);
+  rnic::MemoryRegion cmr;
+  rnic::MemoryRegion smr;
+  rnic::QueuePair* cqp = nullptr;
+  rnic::QueuePair* sqp = nullptr;
+};
+
+TEST_P(FabricPathTest, WriteToPeerKilledBeforeArrivalNaks) {
+  PostSendNow(cqp, MakeWrite(cmr.addr, 8, cmr.lkey, smr.addr, smr.rkey));
+  // After issue, so the issue-time liveness check passes on one domain too.
+  KillAt(server, kServerPid, Issue(cal.pu_write) + 1);
+  Cqe cqe;
+  ASSERT_EQ(RunAndPoll(&cqe), 1);
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kRemoteAccessError);
+  // The NAK rides the ACK leg: arrival + one way + ack turnaround.
+  EXPECT_EQ(cqe.completed_at, WriteArrival(8) + kOneWay +
+                                  cal.remote_ack_extra + cal.cq_internal);
+}
+
+TEST_P(FabricPathTest, ReadFromPeerKilledBeforeArrivalNaks) {
+  PostSendNow(cqp, verbs::MakeRead(cmr.addr, 8, cmr.lkey, smr.addr, smr.rkey));
+  KillAt(server, kServerPid, Issue(cal.pu_read) + 1);
+  Cqe cqe;
+  ASSERT_EQ(RunAndPoll(&cqe), 1);
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kRemoteAccessError);
+  EXPECT_EQ(cqe.completed_at,
+            Issue(cal.pu_read) + 2 * kOneWay + cal.cq_internal);
+}
+
+TEST_P(FabricPathTest, FetchAddOnPeerKilledBeforeArrivalNaks) {
+  rnic::dma::WriteU64(smr.addr, 40);
+  PostSendNow(cqp, verbs::MakeFetchAdd(smr.addr, smr.rkey, 2, cmr.addr,
+                                       cmr.lkey));
+  KillAt(server, kServerPid, Issue(cal.pu_atomic) + 1);
+  Cqe cqe;
+  ASSERT_EQ(RunAndPoll(&cqe), 1);
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kRemoteAccessError);
+  EXPECT_EQ(cqe.completed_at,
+            Issue(cal.pu_atomic) + 2 * kOneWay + cal.cq_internal);
+  EXPECT_EQ(rnic::dma::ReadU64(smr.addr), 40u);  // memory untouched
+}
+
+TEST_P(FabricPathTest, ReadWithBadRkeyNaks) {
+  PostSendNow(cqp, verbs::MakeRead(cmr.addr, 8, cmr.lkey, smr.addr,
+                                   smr.rkey + 1000));
+  Cqe cqe;
+  ASSERT_EQ(RunAndPoll(&cqe), 1);
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kRemoteAccessError);
+  EXPECT_EQ(cqe.completed_at,
+            Issue(cal.pu_read) + 2 * kOneWay + cal.cq_internal);
+}
+
+TEST_P(FabricPathTest, MisalignedCasNaks) {
+  PostSendNow(cqp, verbs::MakeCas(smr.addr + 4, smr.rkey, 0, 1));
+  Cqe cqe;
+  ASSERT_EQ(RunAndPoll(&cqe), 1);
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kAlignmentError);
+  EXPECT_EQ(cqe.completed_at,
+            Issue(cal.pu_atomic) + 2 * kOneWay + cal.cq_internal);
+}
+
+TEST_P(FabricPathTest, RequesterKilledBeforeAckGetsNoCqeAndReleasesPayload) {
+  rnic::dma::WriteU64(cmr.addr, 0xfeedu);
+  PostSendNow(cqp, MakeWrite(cmr.addr, 8, cmr.lkey, smr.addr, smr.rkey));
+  // Dies while the ACK is on the wire back.
+  KillAt(client, kClientPid, WriteArrival(8) + 1);
+  Cqe cqe;
+  EXPECT_EQ(RunAndPoll(&cqe), 0);
+  // The responder saw a live request and accepted it.
+  EXPECT_EQ(rnic::dma::ReadU64(smr.addr), 0xfeedu);
+  // The dropped WR's payload went back to the pool: a WR on another of the
+  // client's QPs reuses it instead of growing the pool.
+  rnic::QueuePair* spare = MakeQp(client, kSparePid);
+  rnic::QueuePair* peer = MakeQp(server, kServerPid + 10);
+  ConnectOverFabric(spare, peer);
+  PostSendNow(spare, MakeWrite(cmr.addr, 8, cmr.lkey, smr.addr, smr.rkey));
+  ssim.Run();
+  ASSERT_EQ(verbs::PollCq(spare, spare->send_cq, 1, &cqe), 1);
+  EXPECT_EQ(cqe.status, rnic::WcStatus::kSuccess);
+  EXPECT_EQ(client.payload_pool().allocated(), 1u);
+  EXPECT_EQ(client.payload_pool().reuses(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, FabricPathTest, ::testing::Values(1, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param);
+                         });
 
 TEST(FabricScale, DeterministicAndContended) {
   workload::FabricScaleConfig cfg;

@@ -713,24 +713,29 @@ TEST(ShardedWorkload, PacketizedLossySweepBitStableAcrossReruns) {
   }
 }
 
-TEST(ShardedWorkload, PacketizedLossySweepMatchesOneDomain) {
+TEST(ShardedWorkload, FabricAndPacketizedSweepsMatchOneDomain) {
   // The round protocol must not leak into simulated output: at 2 and 4
-  // shards, both reliability engines reproduce the 1-domain run's measured
-  // fields exactly (only the sync counters differ).
-  for (const bool sr : {false, true}) {
+  // shards, the plain fabric wire and both reliability engines of the lossy
+  // packetized wire reproduce the 1-domain run's measured fields exactly
+  // (only the sync counters differ).
+  enum class Wire { kFabric, kGbn, kSr };
+  for (const Wire wire : {Wire::kFabric, Wire::kGbn, Wire::kSr}) {
     auto cfg = SweepConfig(1);
-    cfg.packetized = true;
-    cfg.loss = 0.02;
-    cfg.selective_repeat = sr;
+    cfg.packetized = wire != Wire::kFabric;
+    cfg.loss = cfg.packetized ? 0.02 : 0.0;
+    cfg.selective_repeat = wire == Wire::kSr;
     const auto one = workload::RunFabricScale(cfg);
     for (const int shards : {2, 4}) {
       cfg.shards = shards;
       const auto many = workload::RunFabricScale(cfg);
       SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " sr=" + std::to_string(sr));
+                   " wire=" + std::to_string(static_cast<int>(wire)));
+      EXPECT_EQ(many.gets, one.gets);
       EXPECT_EQ(many.duration_us, one.duration_us);
       EXPECT_EQ(many.avg_us, one.avg_us);
       EXPECT_EQ(many.p99_us, one.p99_us);
+      EXPECT_EQ(many.server_tx_util, one.server_tx_util);
+      EXPECT_EQ(many.server_rx_util, one.server_rx_util);
       EXPECT_EQ(many.retransmits, one.retransmits);
       EXPECT_EQ(many.packets_lost, one.packets_lost);
       EXPECT_EQ(many.goodput_gbps, one.goodput_gbps);
